@@ -11,6 +11,7 @@ package check
 import (
 	"fmt"
 	"regexp"
+	"strconv"
 
 	"rtic/internal/fol"
 	"rtic/internal/mtl"
@@ -108,17 +109,36 @@ type Violation struct {
 
 // String renders the violation for reports and logs.
 func (v Violation) String() string {
-	if len(v.Vars) == 0 {
-		return fmt.Sprintf("%s violated at state %d (time %d)", v.Constraint, v.Index, v.Time)
-	}
-	s := fmt.Sprintf("%s violated at state %d (time %d) by ", v.Constraint, v.Index, v.Time)
+	return string(v.AppendText(nil))
+}
+
+// AppendText appends the String() rendering of v to dst and returns the
+// extended slice:
+//
+//	<constraint> violated at state <index> (time <t>)[ by x=1, y='a']
+//
+// It is the one violation encoder: the daemon's replies, the CLI report
+// and String all go through it.
+//
+//rtic:noalloc
+func (v Violation) AppendText(dst []byte) []byte {
+	dst = append(dst, v.Constraint...)
+	dst = append(dst, " violated at state "...)
+	dst = strconv.AppendInt(dst, int64(v.Index), 10)
+	dst = append(dst, " (time "...)
+	dst = strconv.AppendUint(dst, v.Time, 10)
+	dst = append(dst, ')')
 	for i, name := range v.Vars {
-		if i > 0 {
-			s += ", "
+		if i == 0 {
+			dst = append(dst, " by "...)
+		} else {
+			dst = append(dst, ", "...)
 		}
-		s += name + "=" + v.Binding[i].String()
+		dst = append(dst, name...)
+		dst = append(dst, '=')
+		dst = v.Binding[i].AppendText(dst)
 	}
-	return s
+	return dst
 }
 
 // FromBindings converts the satisfying bindings of a constraint's denial

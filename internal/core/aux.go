@@ -46,7 +46,9 @@ type auxNode interface {
 	// delta row-by-row (prev nodes); callers must then fall back to full
 	// evaluation whenever the node is dirty.
 	answerDelta() (added, removed []tuple.Tuple, exact bool)
-	stats() NodeStats
+	// usage reports the node's storage counts; Formula is left empty
+	// so the totals-only walk builds no strings.
+	usage() NodeStats
 }
 
 // NodeStats describes the auxiliary storage of one temporal subformula.
@@ -190,8 +192,8 @@ func (p *prevNode) answerDelta() ([]tuple.Tuple, []tuple.Tuple, bool) {
 	return nil, nil, false
 }
 
-func (p *prevNode) stats() NodeStats {
-	s := NodeStats{Formula: p.n.String()}
+func (p *prevNode) usage() NodeStats {
+	var s NodeStats
 	if p.has {
 		s.Entries = p.stored.Len()
 		s.Bytes = p.stored.Size() + 16
@@ -533,11 +535,13 @@ func (s *sinceNode) answerDelta() ([]tuple.Tuple, []tuple.Tuple, bool) {
 	return s.added, s.removed, true
 }
 
-func (s *sinceNode) stats() NodeStats {
-	st := NodeStats{Formula: s.node.String(), Entries: len(s.entries)}
-	for _, e := range s.entries {
+// usage counts the entries' storage; an entry's map key is its row's
+// tuple.Key encoding, so len(key) is the key's size without re-encoding.
+func (s *sinceNode) usage() NodeStats {
+	st := NodeStats{Entries: len(s.entries)}
+	for key, e := range s.entries {
 		st.Timestamps += len(e.times)
-		st.Bytes += len(e.row.Key()) + e.row.Size() + 8*len(e.times) + 48
+		st.Bytes += len(key) + e.row.Size() + 8*len(e.times) + 48
 	}
 	return st
 }

@@ -588,9 +588,10 @@ func (c *Checker) observedStep(t uint64, tx *storage.Transaction, m *obs.Metrics
 
 // refreshAuxGauges walks the auxiliary nodes and republishes the
 // storage gauges — the one O(aux) piece of instrumentation, kept out of
-// the per-step path of batch commits.
+// the per-step path of batch commits. In the daemon it runs under the
+// commit lock, hence the allocation-free totals-only walk.
 func (c *Checker) refreshAuxGauges(m *obs.Metrics) {
-	st := c.Stats()
+	st := c.Totals()
 	m.AuxNodes.Set(int64(st.Nodes))
 	m.AuxEntries.Set(int64(st.Entries))
 	m.AuxTimestamps.Set(int64(st.Timestamps))
@@ -1057,17 +1058,36 @@ type Stats struct {
 	PerNode    []NodeStats
 }
 
-// Stats reports the current auxiliary storage of the checker.
+// Stats reports the current auxiliary storage of the checker, totals
+// and one row per auxiliary node.
 func (c *Checker) Stats() Stats {
 	s := Stats{Nodes: len(c.nodes)}
 	for _, n := range c.nodes {
-		ns := n.stats()
-		s.Entries += ns.Entries
-		s.Timestamps += ns.Timestamps
-		s.Bytes += ns.Bytes
+		ns := n.usage()
+		s.add(ns)
+		ns.Formula = n.formula().String()
 		s.PerNode = append(s.PerNode, ns)
 	}
 	return s
+}
+
+// Totals reports the Stats totals without the per-node rows: the same
+// walk, building no slice and no formula strings. The auxiliary-storage
+// gauges are refreshed from it after every observed commit.
+//
+//rtic:noalloc
+func (c *Checker) Totals() Stats {
+	s := Stats{Nodes: len(c.nodes)}
+	for _, n := range c.nodes {
+		s.add(n.usage())
+	}
+	return s
+}
+
+func (s *Stats) add(ns NodeStats) {
+	s.Entries += ns.Entries
+	s.Timestamps += ns.Timestamps
+	s.Bytes += ns.Bytes
 }
 
 // CheckInvariants verifies the internal invariants of every auxiliary

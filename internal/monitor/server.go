@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"rtic/internal/check"
 	"rtic/internal/spec"
 )
 
@@ -40,8 +41,11 @@ const maxLineBytes = 1 << 20
 //	           constraint for spec-level findings), then "ok N"
 //	quit    -> closes the connection
 //
-// Lines up to 1 MiB are accepted; a longer line (or any other read
-// error) earns a final "error" reply before the connection closes.
+// Each reply is written in one flush: its lines are encoded into the
+// connection's reply buffer and reach the socket in one write (see
+// replyWriter). Lines up to 1 MiB are accepted; a longer line (or any
+// other read error) earns a final "error" reply before the connection
+// closes.
 // Timestamps are global across clients (the monitor serializes commits),
 // so interleaved producers must coordinate their clocks; a stale
 // timestamp earns an "error" reply and the connection stays open.
@@ -167,16 +171,12 @@ func (s *Server) handle(conn net.Conn) {
 	}
 	sc := bufio.NewScanner(src)
 	sc.Buffer(make([]byte, 0, 4096), maxLineBytes)
-	w := bufio.NewWriter(conn)
-	reply := func(format string, args ...interface{}) bool {
-		fmt.Fprintf(w, format+"\n", args...)
-		return w.Flush() == nil
-	}
+	r := &replyWriter{conn: conn}
 	replyError := func(format string, args ...interface{}) bool {
 		if m != nil {
 			m.ProtocolErrors.Inc()
 		}
-		return reply("error "+format, args...)
+		return r.endf("error "+format, args...)
 	}
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -187,7 +187,7 @@ func (s *Server) handle(conn net.Conn) {
 			return
 		case line == "stats":
 			st := s.M.Stats()
-			if !reply("stats nodes=%d entries=%d timestamps=%d bytes=%d",
+			if !r.endf("stats nodes=%d entries=%d timestamps=%d bytes=%d",
 				st.Nodes, st.Entries, st.Timestamps, st.Bytes) {
 				return
 			}
@@ -202,14 +202,12 @@ func (s *Server) handle(conn net.Conn) {
 			// below can stall on a slow reader for as long as the idle
 			// timeout allows, and nothing shared with the commit path may
 			// be held while it does.
-			var expo bytes.Buffer
-			if err := m.Registry().WritePrometheus(&expo); err != nil {
+			expo := bytes.NewBuffer(r.buf[:0])
+			if err := m.Registry().WritePrometheus(expo); err != nil {
 				return
 			}
-			if _, err := w.Write(expo.Bytes()); err != nil {
-				return
-			}
-			if !reply("# EOF") {
+			r.buf = expo.Bytes()
+			if !r.endf("# EOF") {
 				return
 			}
 		case line == "lint":
@@ -219,11 +217,9 @@ func (s *Server) handle(conn net.Conn) {
 				if name == "" {
 					name = "-"
 				}
-				if !reply("diag %s %s %s %s", d.Severity, d.Rule, name, d.Message) {
-					return
-				}
+				r.linef("diag %s %s %s %s", d.Severity, d.Rule, name, d.Message)
 			}
-			if !reply("ok %d", len(ds)) {
+			if !r.ok(len(ds)) {
 				return
 			}
 		case line == "recent" || strings.HasPrefix(line, "recent "):
@@ -239,12 +235,8 @@ func (s *Server) handle(conn net.Conn) {
 				n = parsed
 			}
 			vs := s.M.Recent(n)
-			for _, v := range vs {
-				if !reply("violation %s", v.String()) {
-					return
-				}
-			}
-			if !reply("ok %d", len(vs)) {
+			r.violations(vs)
+			if !r.ok(len(vs)) {
 				return
 			}
 		default:
@@ -265,12 +257,8 @@ func (s *Server) handle(conn net.Conn) {
 				}
 				continue
 			}
-			for _, v := range vs {
-				if !reply("violation %s", v.String()) {
-					return
-				}
-			}
-			if !reply("ok %d", len(vs)) {
+			r.violations(vs)
+			if !r.ok(len(vs)) {
 				return
 			}
 		}
@@ -289,6 +277,67 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		replyError("read: %v", err)
 	}
+}
+
+// replySpill bounds the reply scratch buffer: once an encoded reply
+// reaches this many bytes, the encoded part goes to the connection and
+// encoding continues into the emptied buffer.
+const replySpill = 64 << 10
+
+// replyWriter frames one connection's replies. Every line of a reply —
+// the violation or diag lines, then the closing "ok", "error" or
+// "# EOF" line — is encoded into one scratch buffer that is reused
+// across replies, and the reply reaches the connection in one write
+// when it ends (one per replySpill bytes for longer replies). A commit
+// with hundreds of violations thus costs one socket write, not one per
+// line. A write error is kept: the reply it hit reports failure, and
+// the session ends.
+type replyWriter struct {
+	conn io.Writer
+	buf  []byte
+	err  error
+}
+
+// violations appends one "violation <v>" line per violation.
+func (r *replyWriter) violations(vs []check.Violation) {
+	for _, v := range vs {
+		r.buf = append(r.buf, "violation "...)
+		r.buf = v.AppendText(r.buf)
+		r.buf = append(r.buf, '\n')
+		if len(r.buf) >= replySpill {
+			r.write()
+		}
+	}
+}
+
+// linef appends one formatted line.
+func (r *replyWriter) linef(format string, args ...interface{}) {
+	r.buf = fmt.Appendf(r.buf, format, args...)
+	r.buf = append(r.buf, '\n')
+}
+
+// ok ends the reply with "ok <n>" and sends it.
+func (r *replyWriter) ok(n int) bool {
+	r.buf = append(r.buf, "ok "...)
+	r.buf = strconv.AppendInt(r.buf, int64(n), 10)
+	r.buf = append(r.buf, '\n')
+	return r.write()
+}
+
+// endf ends the reply with one formatted line and sends it.
+func (r *replyWriter) endf(format string, args ...interface{}) bool {
+	r.linef(format, args...)
+	return r.write()
+}
+
+// write sends the encoded lines and empties the buffer; it reports
+// whether every write of the session so far succeeded.
+func (r *replyWriter) write() bool {
+	if r.err == nil {
+		_, r.err = r.conn.Write(r.buf)
+	}
+	r.buf = r.buf[:0]
+	return r.err == nil
 }
 
 // idleReader refreshes the connection's read deadline before every

@@ -512,16 +512,19 @@ func engineState(e engine.Engine) (*storage.State, error) {
 	}
 }
 
-// Stats sums the incremental auxiliary-storage statistics across the
-// shards (zero when the engines are not core checkers). Entries and
+// Stats sums the incremental auxiliary-storage totals across the
+// shards (zero when the engines are not core checkers), from each
+// shard's totals-only walk; PerNode stays empty. Entries and
 // Timestamps are exact — each tracked binding lives on exactly one
 // shard — while Nodes and Bytes count the per-shard copies of
 // partitionable constraints' node structures.
+//
+//rtic:noalloc
 func (r *Router) Stats() core.Stats {
 	var total core.Stats
 	for _, e := range r.engines {
 		if c, ok := e.(*core.Checker); ok {
-			st := c.Stats()
+			st := c.Totals()
 			total.Nodes += st.Nodes
 			total.Entries += st.Entries
 			total.Timestamps += st.Timestamps

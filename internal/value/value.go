@@ -149,10 +149,27 @@ func (v Value) KeyLen() int {
 // String renders the value as it appears in the constraint language:
 // integers bare, strings single-quoted with quote doubling.
 func (v Value) String() string {
+	var buf [24]byte
+	return string(v.AppendText(buf[:0]))
+}
+
+// AppendText appends the String() rendering of v to dst and returns the
+// extended slice — the allocation-free form the daemon uses to encode
+// violation replies into a reusable buffer.
+//
+//rtic:noalloc
+func (v Value) AppendText(dst []byte) []byte {
 	if v.kind == KindInt {
-		return strconv.FormatInt(v.i, 10)
+		return strconv.AppendInt(dst, v.i, 10)
 	}
-	return "'" + strings.ReplaceAll(v.s, "'", "''") + "'"
+	dst = append(dst, '\'')
+	for i := 0; i < len(v.s); i++ {
+		if v.s[i] == '\'' {
+			dst = append(dst, '\'')
+		}
+		dst = append(dst, v.s[i])
+	}
+	return append(dst, '\'')
 }
 
 // Parse reads a constraint-language literal: a decimal integer

@@ -1,6 +1,7 @@
 package value
 
 import (
+	"math"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -234,5 +235,47 @@ func TestQuickMarshalBinary(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestAppendTextMatchesString(t *testing.T) {
+	cases := []struct {
+		v    Value
+		want string
+	}{
+		{Int(0), "0"},
+		{Int(-7), "-7"},
+		{Int(math.MaxInt64), "9223372036854775807"},
+		{Int(math.MinInt64), "-9223372036854775808"},
+		{Str(""), "''"},
+		{Str("a"), "'a'"},
+		{Str("it's"), "'it''s'"},
+		{Str("'"), "''''"},
+	}
+	for _, c := range cases {
+		if got := c.v.String(); got != c.want {
+			t.Errorf("String() = %q, want %q", got, c.want)
+		}
+		if got := string(c.v.AppendText([]byte("x="))); got != "x="+c.want {
+			t.Errorf("AppendText = %q, want %q", got, "x="+c.want)
+		}
+		back, err := Parse(c.v.String())
+		if err != nil || !back.Equal(c.v) {
+			t.Errorf("Parse(%q) = %v, %v; want %v", c.v.String(), back, err, c.v)
+		}
+	}
+}
+
+func TestAppendTextAllocationFree(t *testing.T) {
+	vs := []Value{Int(math.MinInt64), Str("o'neil"), Int(12345), Str("")}
+	buf := make([]byte, 0, 256)
+	allocs := testing.AllocsPerRun(100, func() {
+		buf = buf[:0]
+		for _, v := range vs {
+			buf = v.AppendText(buf)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("AppendText into a warm buffer: %v allocs/run, want 0", allocs)
 	}
 }
