@@ -142,36 +142,66 @@ func (v Violation) AppendText(dst []byte) []byte {
 }
 
 // FromBindings converts the satisfying bindings of a constraint's denial
-// into violation reports. The binding set must range over a subset of
-// the constraint's variables (denial and constraint share free
-// variables).
+// into violation reports, presized: one report slice and one value
+// array per call (see AppendViolations).
 func FromBindings(c *Constraint, index int, t uint64, b *fol.Bindings) ([]Violation, error) {
-	if b.Empty() {
+	n := b.Len()
+	if n == 0 {
 		return nil, nil
 	}
-	var out []Violation
-	var convErr error
-	b.Each(func(env fol.Env) bool {
-		row := make(tuple.Tuple, len(c.Vars))
+	out, _, err := AppendViolations(make([]Violation, 0, n), make(tuple.Tuple, 0, n*len(c.Vars)), c, index, t, b)
+	return out, err
+}
+
+// AppendViolations appends one violation report per satisfying binding
+// of c's denial in b to dst, and returns the extended slices. Each
+// report's Binding is copied into vals (whose spare capacity callers
+// presize), never aliased to b's rows, so the caller owns the reports
+// and b may change afterwards. The binding set must range over the
+// constraint's variables (check.Compile makes the denial's free
+// variables equal them); a missing constraint variable is an error.
+func AppendViolations(dst []Violation, vals tuple.Tuple, c *Constraint, index int, t uint64, b *fol.Bindings) ([]Violation, tuple.Tuple, error) {
+	if b.Empty() {
+		return dst, vals, nil
+	}
+	// cols maps each constraint variable to its binding column; nil
+	// when the two variable lists are aligned (the compiled case).
+	var cols []int
+	if bv := b.Vars(); !sameVarsList(c.Vars, bv) {
+		cols = make([]int, len(c.Vars))
 		for i, v := range c.Vars {
-			val, ok := env[v]
-			if !ok {
-				convErr = fmt.Errorf("check: denial binding misses constraint variable %q", v)
-				return false
+			cols[i] = indexOf(bv, v)
+			if cols[i] < 0 {
+				return dst, vals, fmt.Errorf("check: denial binding misses constraint variable %q", v)
 			}
-			row[i] = val
 		}
-		out = append(out, Violation{
+	}
+	b.EachRow(func(row tuple.Tuple) bool {
+		start := len(vals)
+		if cols == nil {
+			vals = append(vals, row...)
+		} else {
+			for _, p := range cols {
+				vals = append(vals, row[p])
+			}
+		}
+		dst = append(dst, Violation{
 			Constraint: c.Name,
 			Index:      index,
 			Time:       t,
 			Vars:       c.Vars,
-			Binding:    row,
+			Binding:    vals[start:len(vals):len(vals)],
 		})
 		return true
 	})
-	if convErr != nil {
-		return nil, convErr
+	return dst, vals, nil
+}
+
+func indexOf(vars []string, v string) int {
+	for i, w := range vars {
+		if w == v {
+			return i
+		}
 	}
-	return out, nil
+	return -1
 }

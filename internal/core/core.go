@@ -49,7 +49,10 @@ type Checker struct {
 	constraints []*check.Constraint
 	conNames    map[string]struct{}
 
-	nodes  []auxNode // registration order (children before parents)
+	nodes []auxNode // registration order (children before parents)
+	// carry lists the nodes with phase-B work (prev nodes), in
+	// registration order; the carry phase runs over these only.
+	carry  []auxNode
 	byNode map[mtl.Formula]auxNode
 	// byShape dedups structurally identical temporal subformulas across
 	// constraints: one auxiliary node serves every occurrence with the
@@ -385,6 +388,9 @@ func (c *Checker) register(f mtl.Formula, node auxNode) {
 	c.byShape[shape] = node
 	c.byNode[f] = node
 	c.nodes = append(c.nodes, node)
+	if _, ok := node.(*prevNode); ok {
+		c.carry = append(c.carry, node)
+	}
 	c.schedule(f, node)
 	c.bindNode(node)
 }
@@ -627,7 +633,7 @@ func (c *Checker) StepBatch(steps []engine.Step) ([][]check.Violation, error) {
 }
 
 // domainCache computes the state's active domain once per commit and
-// shares it across the pipeline's per-goroutine evaluators.
+// shares it across the pipeline's per-worker evaluators.
 type domainCache struct {
 	st   *storage.State
 	once sync.Once
@@ -639,14 +645,29 @@ func (d *domainCache) get() []value.Value {
 	return d.dom
 }
 
+// eval returns pool worker w's evaluator for this commit. Evaluators
+// cache the active domain and scratch buffers and so are per-goroutine:
+// each worker builds one on first use and reuses it for every task of
+// every phase it runs, all sharing one domain computation.
+func (sc *stepCtx) eval(w int) *fol.Evaluator {
+	if sc.evs[w] == nil {
+		sc.evs[w] = fol.NewEvaluatorShared(sc.c.cur, sc.orc, sc.dom.get)
+	}
+	return sc.evs[w]
+}
+
 // step runs the four-phase commit pipeline for one transaction,
 // attributing each phase's time through si (nil = uninstrumented).
 func (c *Checker) step(t uint64, tx *storage.Transaction, si *stepInstr) ([]check.Violation, error) {
 	if c.started && t <= c.now {
 		return nil, fmt.Errorf("core: non-increasing timestamp %d after %d", t, c.now)
 	}
-	sc := &stepCtx{c: c, t: t, planned: c.mode == EvalPlanned}
-	sc.orc = &oracle{c: c, now: t}
+	sc := &stepCtx{
+		c: c, t: t, planned: c.mode == EvalPlanned,
+		orc: &oracle{c: c, now: t},
+		dom: domainCache{st: c.cur},
+		evs: make([]*fol.Evaluator, c.par),
+	}
 	ps := si.phase(phaseApply, obs.SpanApply)
 	err := c.applyPhase(sc, tx)
 	ps.done(tx.Len(), err)
@@ -654,29 +675,21 @@ func (c *Checker) step(t uint64, tx *storage.Transaction, si *stepInstr) ([]chec
 		return nil, err
 	}
 
-	// Evaluators cache the active domain and so are per-goroutine;
-	// newEval hands each pipeline task its own, all sharing one domain
-	// computation for this commit.
-	dc := &domainCache{st: c.cur}
-	newEval := func() *fol.Evaluator {
-		return fol.NewEvaluatorShared(c.cur, &oracle{c: c, now: t}, dc.get)
-	}
-
 	ps = si.phase(phaseUpdate, obs.SpanUpdate)
-	err = c.updatePhase(sc, t, newEval, si, ps.span)
+	err = c.updatePhase(sc, t, si, ps.span)
 	ps.done(len(c.nodes), err)
 	if err != nil {
 		return nil, err
 	}
 	ps = si.phase(phaseCheck, obs.SpanCheck)
-	out, err := c.checkPhase(sc, t, newEval, si, ps.span)
+	out, err := c.checkPhase(sc, t, si, ps.span)
 	ps.done(len(c.constraints), err)
 	if err != nil {
 		return nil, err
 	}
 	ps = si.phase(phaseCarry, obs.SpanCarry)
-	err = c.carryPhase(sc, t, newEval, si, ps.span)
-	ps.done(len(c.nodes), err)
+	err = c.carryPhase(sc, t, si, ps.span)
+	ps.done(len(c.carry), err)
 	if err != nil {
 		return nil, err
 	}
@@ -705,9 +718,13 @@ func (c *Checker) applyPhase(sc *stepCtx, tx *storage.Transaction) error {
 // levels run in order (children before parents), nodes within a level
 // concurrently. span (the update phase span, may be nil) collects
 // per-worker attribution children, one batch per level.
-func (c *Checker) updatePhase(sc *stepCtx, t uint64, newEval func() *fol.Evaluator, si *stepInstr, span *obs.Span) error {
+func (c *Checker) updatePhase(sc *stepCtx, t uint64, si *stepInstr, span *obs.Span) error {
 	for lvl, level := range c.levels {
-		if err := c.runNodePhase(level, t, newEval, si, span, fmt.Sprintf("L%d.", lvl), true, func(n auxNode, ev *fol.Evaluator) error {
+		label := ""
+		if span != nil {
+			label = fmt.Sprintf("L%d.", lvl)
+		}
+		if err := c.runNodePhase(sc, level, t, si, span, label, true, func(n auxNode, ev *fol.Evaluator) error {
 			return n.phaseA(sc, ev, t)
 		}); err != nil {
 			return err
@@ -718,16 +735,20 @@ func (c *Checker) updatePhase(sc *stepCtx, t uint64, newEval func() *fol.Evaluat
 
 // carryPhase computes the carry-over state for the next transition
 // (all computations first, so nodes keep answering for this state),
-// then commits it. Computations only read this-state answers and write
-// the node's own pending slot, so they run concurrently; commits are a
-// cheap sequential sweep.
-func (c *Checker) carryPhase(sc *stepCtx, t uint64, newEval func() *fol.Evaluator, si *stepInstr, span *obs.Span) error {
-	if err := c.runNodePhase(c.nodes, t, newEval, si, span, "", false, func(n auxNode, ev *fol.Evaluator) error {
+// then commits it. Only prev nodes carry anything, so the phase runs
+// over c.carry alone. Computations only read this-state answers and
+// write the node's own pending slot, so they run concurrently; commits
+// are a cheap sequential sweep.
+func (c *Checker) carryPhase(sc *stepCtx, t uint64, si *stepInstr, span *obs.Span) error {
+	if len(c.carry) == 0 {
+		return nil
+	}
+	if err := c.runNodePhase(sc, c.carry, t, si, span, "", false, func(n auxNode, ev *fol.Evaluator) error {
 		return n.phaseBCompute(sc, ev, t)
 	}); err != nil {
 		return err
 	}
-	for _, node := range c.nodes {
+	for _, node := range c.carry {
 		node.phaseBCommit(t)
 	}
 	return nil
@@ -743,7 +764,7 @@ func (c *Checker) carryPhase(sc *stepCtx, t uint64, newEval func() *fol.Evaluato
 // Enabled gate keeps formula rendering off the hot path when the sink
 // would discard DEBUG events anyway. span/label feed the worker-pool
 // attribution of parallel batches.
-func (c *Checker) runNodePhase(nodes []auxNode, t uint64, newEval func() *fol.Evaluator, si *stepInstr, span *obs.Span, label string, traceNodes bool, f func(auxNode, *fol.Evaluator) error) error {
+func (c *Checker) runNodePhase(sc *stepCtx, nodes []auxNode, t uint64, si *stepInstr, span *obs.Span, label string, traceNodes bool, f func(auxNode, *fol.Evaluator) error) error {
 	n := len(nodes)
 	if n == 0 {
 		return nil
@@ -753,7 +774,7 @@ func (c *Checker) runNodePhase(nodes []auxNode, t uint64, newEval func() *fol.Ev
 		tr = nil
 	}
 	if c.par <= 1 || n == 1 {
-		ev := newEval()
+		ev := sc.eval(0)
 		for _, node := range nodes {
 			if tr == nil {
 				if err := f(node, ev); err != nil {
@@ -776,8 +797,8 @@ func (c *Checker) runNodePhase(nodes []auxNode, t uint64, newEval func() *fol.Ev
 	errs := make([]error, n)
 	durs := make([]time.Duration, n)
 	batchStart := time.Now()
-	timings := c.runTasksTimed(n, si != nil, func(i int) {
-		ev := newEval()
+	timings := c.runTasksTimed(n, si != nil, func(w, i int) {
+		ev := sc.eval(w)
 		if tr == nil {
 			errs[i] = f(nodes[i], ev)
 			return
@@ -804,13 +825,13 @@ func (c *Checker) runNodePhase(nodes []auxNode, t uint64, newEval func() *fol.Ev
 }
 
 // checkPhase evaluates every constraint's denial against the new state,
-// concurrently when the pipeline is parallel. Violations are collected
-// per constraint and flattened in installation order, and per-
-// constraint metrics and trace events are emitted in that same order,
-// so results are identical to the sequential pipeline's. Per-check
+// concurrently when the pipeline is parallel, then emits the violations
+// of all answers into one presized slice in installation order, so
+// results are identical to the sequential pipeline's. Per-constraint
+// metrics and trace events are emitted in that same order. Per-check
 // trace events are gated on the tracer wanting OpConstraintCheck (the
 // DEBUG-frequency op); metrics are recorded regardless.
-func (c *Checker) checkPhase(sc *stepCtx, t uint64, newEval func() *fol.Evaluator, si *stepInstr, span *obs.Span) ([]check.Violation, error) {
+func (c *Checker) checkPhase(sc *stepCtx, t uint64, si *stepInstr, span *obs.Span) ([]check.Violation, error) {
 	n := len(c.constraints)
 	if n == 0 {
 		return nil, nil
@@ -818,6 +839,7 @@ func (c *Checker) checkPhase(sc *stepCtx, t uint64, newEval func() *fol.Evaluato
 	if sc.planned && len(c.lastSkips) != n {
 		c.lastSkips = make([]SkipInfo, n)
 	}
+	answers := make([]*fol.Bindings, n)
 	var m *obs.Metrics
 	if si != nil {
 		m = si.m
@@ -827,124 +849,147 @@ func (c *Checker) checkPhase(sc *stepCtx, t uint64, newEval func() *fol.Evaluato
 		tr = nil
 	}
 	instrumented := m != nil || tr != nil
+	observe := func(i int, d time.Duration, err error) {
+		if m != nil && i < len(c.conMetrics) {
+			c.conMetrics[i].seconds.Observe(d.Seconds())
+			if err == nil {
+				c.conMetrics[i].violations.Add(uint64(answers[i].Len()))
+			}
+		}
+		if tr != nil {
+			tr.Trace(obs.TraceEvent{
+				Op: obs.OpConstraintCheck, Detail: c.constraints[i].Name,
+				Time: t, Duration: d, Err: err,
+			})
+		}
+	}
 	if c.par <= 1 || n == 1 {
-		ev := newEval()
-		var out []check.Violation
-		for i, con := range c.constraints {
+		ev := sc.eval(0)
+		for i := range c.constraints {
 			var c0 time.Time
 			if instrumented {
 				c0 = time.Now()
 			}
-			vs, err := c.checkCon(ev, sc, i, t)
-			if m != nil && i < len(c.conMetrics) {
-				c.conMetrics[i].seconds.Observe(time.Since(c0).Seconds())
-				c.conMetrics[i].violations.Add(uint64(len(vs)))
-			}
-			if tr != nil {
-				tr.Trace(obs.TraceEvent{
-					Op: obs.OpConstraintCheck, Detail: con.Name,
-					Time: t, Duration: time.Since(c0), Err: err,
-				})
+			var err error
+			answers[i], err = c.checkCon(ev, sc, i)
+			if instrumented {
+				observe(i, time.Since(c0), err)
 			}
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, vs...)
 		}
-		return out, nil
-	}
-	results := make([][]check.Violation, n)
-	errs := make([]error, n)
-	durs := make([]time.Duration, n)
-	batchStart := time.Now()
-	timings := c.runTasksTimed(n, si != nil, func(i int) {
-		ev := newEval()
-		var c0 time.Time
+	} else {
+		errs := make([]error, n)
+		durs := make([]time.Duration, n)
+		batchStart := time.Now()
+		timings := c.runTasksTimed(n, si != nil, func(w, i int) {
+			var c0 time.Time
+			if instrumented {
+				c0 = time.Now()
+			}
+			answers[i], errs[i] = c.checkCon(sc.eval(w), sc, i)
+			if instrumented {
+				durs[i] = time.Since(c0)
+			}
+		})
+		si.attributePool(span, batchStart, "", timings)
 		if instrumented {
-			c0 = time.Now()
+			for i := range c.constraints {
+				observe(i, durs[i], errs[i])
+			}
 		}
-		results[i], errs[i] = c.checkCon(ev, sc, i, t)
-		if instrumented {
-			durs[i] = time.Since(c0)
-		}
-	})
-	si.attributePool(span, batchStart, "", timings)
-	var out []check.Violation
-	for i, con := range c.constraints {
-		if m != nil && i < len(c.conMetrics) {
-			c.conMetrics[i].seconds.Observe(durs[i].Seconds())
-			c.conMetrics[i].violations.Add(uint64(len(results[i])))
-		}
-		if tr != nil {
-			tr.Trace(obs.TraceEvent{
-				Op: obs.OpConstraintCheck, Detail: con.Name,
-				Time: t, Duration: durs[i], Err: errs[i],
-			})
+		for _, err := range errs {
+			if err != nil {
+				return nil, err
+			}
 		}
 	}
-	for _, err := range errs {
+	return c.emit(t, answers)
+}
+
+// emit turns the check phase's answers (parallel to constraints) into
+// violation reports: one report slice and one binding-value array for
+// the whole commit, sized from the answers, copied out so the caller
+// owns every report.
+func (c *Checker) emit(t uint64, answers []*fol.Bindings) ([]check.Violation, error) {
+	total, width := 0, 0
+	for i, b := range answers {
+		total += b.Len()
+		width += b.Len() * len(c.constraints[i].Vars)
+	}
+	if total == 0 {
+		return nil, nil
+	}
+	out := make([]check.Violation, 0, total)
+	vals := make(tuple.Tuple, 0, width)
+	for i, b := range answers {
+		var err error
+		out, vals, err = check.AppendViolations(out, vals, c.constraints[i], c.index, t, b)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: constraint %s at state %d: %w", c.constraints[i].Name, c.index, err)
 		}
-	}
-	for _, vs := range results {
-		out = append(out, vs...)
 	}
 	return out, nil
 }
 
-// checkOne evaluates one constraint's denial and materializes the
-// violation witnesses.
-func (c *Checker) checkOne(ev *fol.Evaluator, con *check.Constraint, t uint64) ([]check.Violation, error) {
-	b, err := ev.Eval(con.Denial)
+// checkCon evaluates constraint i's denial in the new state and
+// returns its answer, which the caller may read until the commit ends.
+// Planned mode takes the cheapest sound strategy: reuse the previous
+// answer when the commit touched nothing the denial reads, re-derive
+// semi-naively from the delta when every changed source has exact
+// row-level changes, otherwise run the compiled plan in full — or the
+// tree-walking evaluator when the denial's shape defeated plan
+// compilation. Any error drops the previous answer, so the next commit
+// runs the full plan.
+func (c *Checker) checkCon(ev *fol.Evaluator, sc *stepCtx, i int) (*fol.Bindings, error) {
+	con := c.constraints[i]
+	var b *fol.Bindings
+	var err error
+	if sc.planned {
+		cs := c.conStates[i]
+		if err = c.checkPlanned(ev, sc, i, cs); err != nil {
+			cs.lastB = nil
+		}
+		b = cs.lastB
+	} else {
+		b, err = ev.Eval(con.Denial)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("core: constraint %s at state %d: %w", con.Name, c.index, err)
 	}
-	return check.FromBindings(con, c.index, t, b)
+	return b, nil
 }
 
-// checkCon checks constraint i at time t through the cheapest sound
-// strategy: reuse the previous answer when the commit touched nothing
-// the denial reads, re-derive semi-naively from the delta when every
-// changed source has exact row-level changes, otherwise run the
-// compiled plan in full — or the tree-walking evaluator when the
-// denial's shape defeated plan compilation.
-func (c *Checker) checkCon(ev *fol.Evaluator, sc *stepCtx, i int, t uint64) ([]check.Violation, error) {
-	con := c.constraints[i]
-	if !sc.planned {
-		return c.checkOne(ev, con, t)
-	}
-	cs := c.conStates[i]
+// checkPlanned is checkCon's planned-mode body: it leaves cs.lastB
+// holding the denial's answer in the new state.
+func (c *Checker) checkPlanned(ev *fol.Evaluator, sc *stepCtx, i int, cs *conState) error {
+	name := c.constraints[i].Name
 	clean := !cs.domDep && !sc.relsChanged(cs.readRels) && !anyDirty(cs.nodes)
-	if clean && cs.lastB != nil {
-		c.lastSkips[i] = SkipInfo{Constraint: con.Name, Action: ActionSkipped, Reason: "read set untouched"}
-		return check.FromBindings(con, c.index, t, cs.lastB)
-	}
-	if cs.canSeed && cs.lastB != nil && !cs.inexactDirty() {
-		b, err := c.seminaive(sc, cs)
-		if err != nil {
-			return nil, fmt.Errorf("core: constraint %s at state %d: %w", con.Name, c.index, err)
+	switch {
+	case clean && cs.lastB != nil:
+		c.lastSkips[i] = SkipInfo{Constraint: name, Action: ActionSkipped, Reason: "read set untouched"}
+	case cs.canSeed && cs.lastB != nil && !cs.inexactDirty():
+		if err := c.seminaive(sc, cs); err != nil {
+			return err
 		}
-		cs.lastB = b
-		c.lastSkips[i] = SkipInfo{Constraint: con.Name, Action: ActionSeeded, Reason: "re-derived from delta"}
-		return check.FromBindings(con, c.index, t, b)
-	}
-	if cs.plan != nil {
+		c.lastSkips[i] = SkipInfo{Constraint: name, Action: ActionSeeded, Reason: "re-derived from delta"}
+	case cs.plan != nil:
 		b, err := cs.plan.Eval(c.cur, sc.orc, nil)
 		if err != nil {
-			return nil, fmt.Errorf("core: constraint %s at state %d: %w", con.Name, c.index, err)
+			return err
+		}
+		c.lastSkips[i] = SkipInfo{Constraint: name, Action: ActionPlanned, Reason: fullEvalReason(clean, cs)}
+		cs.lastB = b
+	default:
+		b, err := ev.Eval(c.constraints[i].Denial)
+		if err != nil {
+			return err
 		}
 		cs.lastB = b
-		c.lastSkips[i] = SkipInfo{Constraint: con.Name, Action: ActionPlanned, Reason: fullEvalReason(clean, cs)}
-		return check.FromBindings(con, c.index, t, b)
+		c.lastSkips[i] = SkipInfo{Constraint: name, Action: ActionTreeWalk, Reason: cs.planErr}
 	}
-	b, err := ev.Eval(con.Denial)
-	if err != nil {
-		return nil, fmt.Errorf("core: constraint %s at state %d: %w", con.Name, c.index, err)
-	}
-	cs.lastB = b
-	c.lastSkips[i] = SkipInfo{Constraint: con.Name, Action: ActionTreeWalk, Reason: cs.planErr}
-	return check.FromBindings(con, c.index, t, b)
+	return nil
 }
 
 // fullEvalReason explains why a planned constraint ran in full.
@@ -963,31 +1008,34 @@ func fullEvalReason(clean bool, cs *conState) string {
 	}
 }
 
-// seminaive re-derives the denial answer from the previous one and the
-// commit's delta: surviving rows are retested under the new state
-// (changes can only invalidate them), and each changed source literal
-// seeds plan execution with its delta rows — any *new* answer needs a
-// literal that flipped this commit, and every flip appears in a
-// relation delta or an exact node answer delta.
-func (c *Checker) seminaive(sc *stepCtx, cs *conState) (*fol.Bindings, error) {
-	out := fol.NewBindings(cs.plan.Vars())
+// seminaive brings the previous denial answer up to the new state in
+// place: surviving rows are retested under the new state (changes can
+// only invalidate them) and dropped when they fail, then each changed
+// source literal seeds plan execution with its delta rows and the
+// derived rows join the same set — any *new* answer needs a literal that
+// flipped this commit, and every flip appears in a relation delta or an
+// exact node answer delta. Sound only because cs.lastB is the checker's
+// own set (a plan.Eval or seminaive output): the tree-walk path, whose
+// answer may be a node's maintained set, never seeds.
+func (c *Checker) seminaive(sc *stepCtx, cs *conState) error {
+	b := cs.lastB
 	var rerr error
-	cs.lastB.EachRow(func(row tuple.Tuple) bool {
+	b.EachRowKey(func(key string, row tuple.Tuple) bool {
 		ok, err := cs.plan.RetestRow(c.cur, sc.orc, row)
 		if err != nil {
 			rerr = err
 			return false
 		}
-		if ok {
-			rerr = out.AddRow(row)
+		if !ok {
+			b.RemoveKey(key)
 		}
-		return rerr == nil
+		return true
 	})
 	if rerr != nil {
-		return nil, rerr
+		return rerr
 	}
 	emit := func(row tuple.Tuple) bool {
-		rerr = out.AddRow(row)
+		rerr = b.AddRow(row)
 		return rerr == nil
 	}
 	for k, src := range cs.sources {
@@ -1009,7 +1057,7 @@ func (c *Checker) seminaive(sc *stepCtx, cs *conState) (*fol.Bindings, error) {
 			}
 			added, removed, exact := node.answerDelta()
 			if !exact {
-				return nil, fmt.Errorf("core: semi-naive check with inexact source delta for %q", src.Temp.String())
+				return fmt.Errorf("core: semi-naive check with inexact source delta for %q", src.Temp.String())
 			}
 			if src.Positive {
 				seeds = added
@@ -1021,13 +1069,13 @@ func (c *Checker) seminaive(sc *stepCtx, cs *conState) (*fol.Bindings, error) {
 			continue
 		}
 		if err := cs.plan.ExecuteSeeded(c.cur, sc.orc, src, seeds, emit); err != nil {
-			return nil, err
+			return err
 		}
 		if rerr != nil {
-			return nil, rerr
+			return rerr
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // State returns the current database state; callers must not mutate it.
@@ -1091,7 +1139,9 @@ func (s *Stats) add(ns NodeStats) {
 }
 
 // CheckInvariants verifies the internal invariants of every auxiliary
-// node (sorted, in-window, deduplicated timestamp sets); used by tests.
+// node (sorted, in-window, deduplicated timestamp sets) and, in planned
+// mode, that every planned constraint's maintained denial answer equals
+// a full execution of its plan on the current state; used by tests.
 func (c *Checker) CheckInvariants() error {
 	if !c.started {
 		return nil
@@ -1103,7 +1153,54 @@ func (c *Checker) CheckInvariants() error {
 			}
 		}
 	}
+	if c.mode != EvalPlanned {
+		return nil
+	}
+	orc := servedOracle{&oracle{c: c, now: c.now}}
+	for i, cs := range c.conStates {
+		if cs.plan == nil || cs.lastB == nil {
+			continue
+		}
+		want, err := cs.plan.Eval(c.cur, orc, nil)
+		if err != nil {
+			return fmt.Errorf("core: constraint %s: re-evaluating the plan: %w", c.constraints[i].Name, err)
+		}
+		if !want.Equal(cs.lastB) {
+			return fmt.Errorf("core: constraint %s: maintained answer %s, full plan evaluation %s",
+				c.constraints[i].Name, cs.lastB, want)
+		}
+	}
 	return nil
+}
+
+// servedOracle answers temporal subformulas as the latest commit's
+// check phase saw them. Since and once nodes still answer for that
+// state, but prev nodes have already advanced to the next one in phase
+// B, so they answer from the set they served.
+type servedOracle struct{ o *oracle }
+
+func (s servedOracle) answer(f mtl.Formula) (*fol.Bindings, error) {
+	node, err := s.o.lookup(f)
+	if err != nil {
+		return nil, err
+	}
+	if p, ok := node.(*prevNode); ok {
+		if p.lastServed == nil {
+			return fol.NewBindings(p.fvars), nil
+		}
+		return p.lastServed, nil
+	}
+	return node.enumerate(s.o.now)
+}
+
+func (s servedOracle) Enumerate(f mtl.Formula) (*fol.Bindings, error) { return s.answer(f) }
+
+func (s servedOracle) Test(f mtl.Formula, env fol.Env) (bool, error) {
+	b, err := s.answer(f)
+	if err != nil {
+		return false, err
+	}
+	return b.Contains(env)
 }
 
 // oracle resolves temporal nodes from the auxiliary state at the

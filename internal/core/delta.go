@@ -3,6 +3,7 @@ package core
 import (
 	"sort"
 
+	"rtic/internal/fol"
 	"rtic/internal/mtl"
 	"rtic/internal/storage"
 	"rtic/internal/tuple"
@@ -37,6 +38,8 @@ type stepCtx struct {
 	planned bool
 	delta   map[string]*relDelta
 	orc     *oracle
+	dom     domainCache
+	evs     []*fol.Evaluator // per pool worker; see eval
 }
 
 // relsChanged reports whether the commit touched any of rels (net).

@@ -195,10 +195,6 @@ func resolveParallelism(n int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// runTasks evaluates f(0..n-1) on a pool bounded by the checker's
-// parallelism. With one worker (or one task) it degenerates to the
-// plain sequential loop. f must confine its writes to per-index slots;
-// error collection is the caller's business for exactly that reason.
 // taskTiming attributes one pool task: which worker ran it, how long
 // it waited after the batch opened (queue wait), and how long it ran.
 type taskTiming struct {
@@ -212,7 +208,7 @@ type taskTiming struct {
 // queue-wait/utilization metrics and the per-worker spans. With timed
 // off it degenerates to runTasks and returns nil, so the
 // uninstrumented path allocates nothing.
-func (c *Checker) runTasksTimed(n int, timed bool, f func(i int)) []taskTiming {
+func (c *Checker) runTasksTimed(n int, timed bool, f func(w, i int)) []taskTiming {
 	if !timed {
 		c.runTasks(n, f)
 		return nil
@@ -226,7 +222,7 @@ func (c *Checker) runTasksTimed(n int, timed bool, f func(i int)) []taskTiming {
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			s := time.Since(t0)
-			f(i)
+			f(0, i)
 			timings[i] = taskTiming{worker: 0, start: s, dur: time.Since(t0) - s}
 		}
 		return timings
@@ -243,7 +239,7 @@ func (c *Checker) runTasksTimed(n int, timed bool, f func(i int)) []taskTiming {
 					return
 				}
 				s := time.Since(t0)
-				f(i)
+				f(w, i)
 				timings[i] = taskTiming{worker: w, start: s, dur: time.Since(t0) - s}
 			}
 		}(w)
@@ -252,14 +248,21 @@ func (c *Checker) runTasksTimed(n int, timed bool, f func(i int)) []taskTiming {
 	return timings
 }
 
-func (c *Checker) runTasks(n int, f func(i int)) {
+// runTasks evaluates f(w, i) for i in 0..n-1 on a pool bounded by the
+// checker's parallelism, w being the index of the worker running task
+// i (w < parallelism), so callers can keep per-worker state such as an
+// evaluator. With one worker (or one task) it degenerates to the plain
+// sequential loop. f must confine its writes to per-index (or
+// per-worker) slots; error collection is the caller's business for
+// exactly that reason.
+func (c *Checker) runTasks(n int, f func(w, i int)) {
 	workers := c.par
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			f(i)
+			f(0, i)
 		}
 		return
 	}
@@ -267,16 +270,16 @@ func (c *Checker) runTasks(n int, f func(i int)) {
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		go func() {
+		go func(w int) {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				f(i)
+				f(w, i)
 			}
-		}()
+		}(w)
 	}
 	wg.Wait()
 }

@@ -1,24 +1,13 @@
 package core
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
-
-	"rtic/internal/workload"
 )
 
-// denseChecker replays the Table 8 feed — 32 once-window denials over a
-// uniform 4-op stream on a domain of 16 — the dense-violation shape.
+// denseChecker replays the Table 8 feed (see denseHistory).
 func denseChecker(t *testing.T, steps int) *Checker {
-	h := workload.Uniform(workload.UniformConfig{Steps: steps, Seed: 53, OpsPerTx: 4, Domain: 16})
-	h.Constraints = nil
-	for i := 0; i < 32; i++ {
-		h.Constraints = append(h.Constraints, workload.ConstraintSpec{
-			Name:   fmt.Sprintf("w%03d", i),
-			Source: fmt.Sprintf("p(x) -> not once[0,%d] q(x)", 40+i),
-		})
-	}
+	h := denseHistory(steps)
 	c := newFromHistory(t, h)
 	for _, s := range h.Steps {
 		if _, err := c.Step(s.Time, s.Tx); err != nil {

@@ -128,6 +128,12 @@ func (b *Bindings) Rows() []tuple.Tuple { return b.rel.Tuples() }
 //rtic:noalloc
 func (b *Bindings) EachRow(f func(tuple.Tuple) bool) { b.rel.Each(f) }
 
+// EachRowKey is EachRow with every row's Key() encoding, so f can drop
+// the row it is visiting with RemoveKey(key). f must not add rows.
+//
+//rtic:noalloc
+func (b *Bindings) EachRowKey(f func(key string, row tuple.Tuple) bool) { b.rel.EachKey(f) }
+
 // ContainsRow reports whether a tuple aligned with Vars() is present.
 func (b *Bindings) ContainsRow(row tuple.Tuple) bool { return b.rel.Contains(row) }
 

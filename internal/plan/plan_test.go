@@ -430,27 +430,79 @@ func TestPlanSeededMatchesDelta(t *testing.T) {
 	}
 }
 
+// keyOracle serves fixed temporal answers by formula identity and
+// probes them by encoded key, allocating nothing per call — the shape
+// of the checker's own oracle.
+type keyOracle map[mtl.Formula]*fol.Bindings
+
+func (o keyOracle) Enumerate(f mtl.Formula) (*fol.Bindings, error) { return o[f], nil }
+
+func (o keyOracle) Test(f mtl.Formula, env fol.Env) (bool, error) { return o[f].Contains(env) }
+
+func (o keyOracle) TestKey(f mtl.Formula, key []byte) (bool, error) {
+	return o[f].ContainsKeyBytes(key), nil
+}
+
+// TestPlanAllocationFree pins zero steady-state allocations on every
+// entry point the checker runs per commit: full execution, and the
+// delta-driven RetestRow and ExecuteSeeded, seeded from a relation
+// source and from a temporal source.
 func TestPlanAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
 	st := storage.NewState(testSchema(t))
 	fill(t, st, "p", []int64{1}, []int64{2}, []int64{3})
-	fill(t, st, "r", []int64{1, 2}, []int64{2, 3})
-	p, err := Compile(mtl.MustParse("p(x) and r(x, y) and not q(y)"), st, nil)
+	fill(t, st, "r", []int64{1, 2}, []int64{3, 4})
+	fill(t, st, "q", []int64{2})
+	p, err := Compile(mtl.MustParse("p(x) and r(x, y) and not q(y) and not once[0,5] q(x)"), st, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm the pool, then measure.
-	run := func() {
-		if err := p.Execute(st, nil, nil, func(tuple.Tuple) bool { return true }); err != nil {
-			t.Fatal(err)
+	var relSrc, tempSrc Source
+	orc := keyOracle{}
+	for _, src := range p.Sources() {
+		switch {
+		case src.IsRel && src.Rel == "p":
+			relSrc = src
+		case !src.IsRel:
+			tempSrc = src
+			ans := fol.NewBindings([]string{"x"})
+			if err := ans.AddRow(tuple.Ints(2)); err != nil {
+				t.Fatal(err)
+			}
+			orc[src.Temp] = ans
 		}
 	}
-	run()
-	allocs := testing.AllocsPerRun(100, run)
-	if allocs > 0 {
-		t.Fatalf("steady-state plan execution allocates %.1f objects/run, want 0", allocs)
+	if relSrc.Rel == "" || tempSrc.Temp == nil {
+		t.Fatalf("sources %v lack p or the once literal", p.Sources())
+	}
+	row, relSeeds, tempSeeds := tuple.Ints(1, 2), []tuple.Tuple{tuple.Ints(3)}, []tuple.Tuple{tuple.Ints(1)}
+	hits := 0
+	emit := func(tuple.Tuple) bool { hits++; return true }
+	for name, run := range map[string]func() error{
+		"Execute": func() error { return p.Execute(st, orc, nil, emit) },
+		"RetestRow": func() error {
+			_, err := p.RetestRow(st, orc, row)
+			return err
+		},
+		"ExecuteSeeded/relation": func() error { return p.ExecuteSeeded(st, orc, relSrc, relSeeds, emit) },
+		"ExecuteSeeded/temporal": func() error { return p.ExecuteSeeded(st, orc, tempSrc, tempSeeds, emit) },
+	} {
+		if err := run(); err != nil { // warm the pool
+			t.Fatalf("%s: %v", name, err)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := run(); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		})
+		if allocs > 0 {
+			t.Errorf("steady-state %s allocates %.1f objects/run, want 0", name, allocs)
+		}
+	}
+	if hits == 0 {
+		t.Fatal("no run derived a row; the gate would not cover the emit path")
 	}
 }
 

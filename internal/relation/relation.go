@@ -42,12 +42,15 @@ func (r *Relation) Insert(t tuple.Tuple) (bool, error) {
 	if len(t) != r.arity {
 		return false, fmt.Errorf("relation: insert arity %d into relation of arity %d", len(t), r.arity)
 	}
-	k := t.Key()
-	if _, ok := r.rows[k]; ok {
+	// Probe with the key built on the stack; only a new row pays for
+	// its key string and its copy.
+	var buf [64]byte
+	k := t.AppendKeyTo(buf[:0])
+	if _, ok := r.rows[string(k)]; ok {
 		return false, nil
 	}
 	c := t.Clone()
-	r.rows[k] = c
+	r.rows[string(k)] = c
 	for _, ix := range r.indexes {
 		ix.insert(c)
 	}
@@ -117,6 +120,17 @@ func (r *Relation) DeleteKey(key string) bool {
 func (r *Relation) Each(f func(tuple.Tuple) bool) {
 	for _, t := range r.rows {
 		if !f(t) {
+			return
+		}
+	}
+}
+
+// EachKey is Each with every tuple's Key() encoding: f may delete the
+// tuple it is visiting (DeleteKey(key)) but must not insert. If f
+// returns false, iteration stops early.
+func (r *Relation) EachKey(f func(key string, t tuple.Tuple) bool) {
+	for k, t := range r.rows {
+		if !f(k, t) {
 			return
 		}
 	}

@@ -189,3 +189,39 @@ func TestQuickInsertDeleteInverse(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestEachKeyDeletesWhileIterating(t *testing.T) {
+	r := New(1)
+	for i := int64(0); i < 10; i++ {
+		r.MustInsert(tuple.Ints(i))
+	}
+	visited := 0
+	r.EachKey(func(key string, row tuple.Tuple) bool {
+		visited++
+		if key != row.Key() {
+			t.Fatalf("key %q for row %v, want %q", key, row, row.Key())
+		}
+		if row[0].AsInt()%2 == 0 {
+			r.DeleteKey(key)
+		}
+		return true
+	})
+	if visited != 10 || r.Len() != 5 {
+		t.Fatalf("visited %d rows, %d left; want 10 and 5", visited, r.Len())
+	}
+	r.Each(func(row tuple.Tuple) bool {
+		if row[0].AsInt()%2 == 0 {
+			t.Fatalf("even row %v survived", row)
+		}
+		return true
+	})
+}
+
+func TestInsertOfPresentRowAllocatesNothing(t *testing.T) {
+	r := New(2)
+	row := tuple.Ints(4, 2)
+	r.MustInsert(row)
+	if allocs := testing.AllocsPerRun(100, func() { r.MustInsert(row) }); allocs != 0 {
+		t.Fatalf("re-inserting a present row allocates %.1f objects, want 0", allocs)
+	}
+}
