@@ -120,8 +120,8 @@ func TestDenseCommitAllocations(t *testing.T) {
 	if violations < 100*measured {
 		t.Fatalf("%d violations over %d commits; the feed is not dense", violations, measured)
 	}
-	if allocs > 200 {
-		t.Fatalf("dense commit allocates %.0f objects, want at most 200", allocs)
+	if allocs > 100 {
+		t.Fatalf("dense commit allocates %.0f objects, want at most 100", allocs)
 	}
 	t.Logf("%.0f allocations per dense commit, %d violations per commit", allocs, violations/(measured+1))
 }

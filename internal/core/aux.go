@@ -59,12 +59,10 @@ type NodeStats struct {
 	Bytes      int // estimated footprint
 }
 
-// nodeDeps is the read-set every node derives at registration time: the
-// relations its formulas read directly, its child nodes, and whether the
-// refresh fast path is sound for it (no universal quantification — see
-// domainDependent). srcPlan holds the compiled query plan of the node's
-// update formula when its shape is plannable; nil falls back to the
-// tree-walking evaluator.
+// nodeDeps is the read set of one node formula, derived at registration
+// time: the relations it reads directly, its child nodes, and whether
+// the cached fast paths are sound for it (no universal quantification —
+// see domainDependent).
 type nodeDeps struct {
 	srcRels  []string
 	children []auxNode
@@ -89,9 +87,13 @@ type prevNode struct {
 	stored     *fol.Bindings
 	storedTime uint64
 	has        bool
+	// storedBytes is stored.Size(), computed in phase B when the
+	// answer is built, so usage is O(1).
+	storedBytes int
 
-	pending     *fol.Bindings
-	pendingTime uint64
+	pending      *fol.Bindings
+	pendingTime  uint64
+	pendingBytes int
 
 	// lastServed is the answer the node served in the previous commit;
 	// comparing against the current answer yields the dirty bit. Prev
@@ -137,7 +139,7 @@ func (p *prevNode) phaseBCompute(sc *stepCtx, ev *fol.Evaluator, t uint64) error
 	// φ's enumeration in the new state equals the stored one — alias it
 	// (bindings are immutable once published).
 	if p.has && p.deps.clean(sc) {
-		p.pending, p.pendingTime = p.stored, t
+		p.pending, p.pendingTime, p.pendingBytes = p.stored, t, p.storedBytes
 		return nil
 	}
 	var b *fol.Bindings
@@ -156,12 +158,12 @@ func (p *prevNode) phaseBCompute(sc *stepCtx, ev *fol.Evaluator, t uint64) error
 	if err != nil {
 		return fmt.Errorf("core: prev %q: %w", p.n.String(), err)
 	}
-	p.pending, p.pendingTime = b, t
+	p.pending, p.pendingTime, p.pendingBytes = b, t, b.Size()
 	return nil
 }
 
 func (p *prevNode) phaseBCommit(uint64) {
-	p.stored, p.storedTime, p.has = p.pending, p.pendingTime, true
+	p.stored, p.storedTime, p.storedBytes, p.has = p.pending, p.pendingTime, p.pendingBytes, true
 	p.pending = nil
 }
 
@@ -196,7 +198,7 @@ func (p *prevNode) usage() NodeStats {
 	var s NodeStats
 	if p.has {
 		s.Entries = p.stored.Len()
-		s.Bytes = p.stored.Size() + 16
+		s.Bytes = p.storedBytes + 16
 	}
 	return s
 }
@@ -207,14 +209,33 @@ func (p *prevNode) usage() NodeStats {
 // (a single timestamp suffices when the window is unbounded above).
 // inRB and keep cache the entry's last evaluated recurrence inputs
 // (row ∈ ⟦ψ⟧? and θ ⊨ φ?) so commits that touch nothing the node reads
-// can replay the recurrence without re-evaluating either formula.
+// can replay the recurrence without re-evaluating either formula; inAns
+// mirrors the row's membership in the node's maintained answer.
 type sinceEntry struct {
+	key   string // row's tuple.Key encoding: the entry's key in sinceNode.entries
+	pos   int    // the entry's index in sinceNode.list
 	row   tuple.Tuple
 	times []uint64 // ascending
 	inRB  bool
 	keep  bool
+	inAns bool
 	stamp uint64 // t+1 of the commit that created the entry
 }
+
+// updatePath names how a since/once node's phase A ran in the latest
+// commit.
+type updatePath uint8
+
+const (
+	// pathFull re-enumerated ψ and re-tested φ for every entry.
+	pathFull updatePath = iota
+	// pathRefresh replayed the recurrence from the cached inputs: the
+	// commit touched nothing the node reads.
+	pathRefresh
+	// pathDelta kept ⟦ψ⟧ by ψ's source deltas, then replayed the
+	// recurrence: φ's read set was untouched.
+	pathDelta
+)
 
 // sinceNode implements φ S_I ψ (and once_I ψ, with φ = true) via the
 // recurrence S_i(θ) = (i ⊨θ φ ? S_{i−1}(θ) : ∅) ∪ (i ⊨θ ψ ? {t_i} : ∅).
@@ -225,15 +246,26 @@ type sinceNode struct {
 	right mtl.Formula
 	vars  []string // fv(node), sorted; equals fv(right) by safety
 	lvars []string
+	lPos  []int // position in vars of each lvars entry
 
-	deps      nodeDeps
-	rightPlan *plan.Plan
+	// lDeps and rDeps are the read sets of φ and ψ; psi is ψ's compiled
+	// plan with its sources (plan nil when ψ's shape is unplannable).
+	lDeps, rDeps nodeDeps
+	psi          seededPlan
 
 	// noPrune disables the bounded-encoding pruning rules (the space
 	// ablation); answers are unchanged, storage grows with history.
 	noPrune bool
 
+	// entries indexes the entries by key; list holds the same entries
+	// for the recurrence sweeps, which iterate a slice faster than a map.
 	entries map[string]*sinceEntry
+	list    []*sinceEntry
+	// nTimes and fixedBytes are running storage totals over entries: the
+	// timestamps held, and the per-entry bytes that do not depend on them
+	// (see entryBytes). usage reads them instead of walking entries.
+	nTimes     int
+	fixedBytes int
 
 	// The maintained answer: ans holds exactly the rows satisfied at
 	// lastT (valid once primed), added/removed the rows that entered and
@@ -243,6 +275,7 @@ type sinceNode struct {
 	lastT   uint64
 	primed  bool
 	dirtied bool
+	path    updatePath
 	added   []tuple.Tuple
 	removed []tuple.Tuple
 	envBuf  fol.Env
@@ -264,7 +297,8 @@ func newSinceLike(node mtl.Formula, iv mtl.Interval, left, right mtl.Formula) (*
 		return nil, fmt.Errorf("core: %q: binding space must be generated by the right-hand side (fv %v vs %v)",
 			node.String(), vars, rvars)
 	}
-	for _, lv := range mtl.FreeVars(left) {
+	lvars := mtl.FreeVars(left)
+	for _, lv := range lvars {
 		if i := sort.SearchStrings(vars, lv); i >= len(vars) || vars[i] != lv {
 			return nil, fmt.Errorf("core: %q: left-hand variable %q not bound by the right-hand side",
 				node.String(), lv)
@@ -276,7 +310,8 @@ func newSinceLike(node mtl.Formula, iv mtl.Interval, left, right mtl.Formula) (*
 		left:    left,
 		right:   right,
 		vars:    vars,
-		lvars:   mtl.FreeVars(left),
+		lvars:   lvars,
+		lPos:    varPositions(vars, lvars),
 		entries: make(map[string]*sinceEntry),
 		ans:     fol.NewBindings(vars),
 	}, nil
@@ -289,54 +324,104 @@ func (s *sinceNode) isOnce() bool {
 	return ok && t.Bool
 }
 
+// phaseA brings the entries and the answer to time t by the cheapest
+// sound path: replay the cached recurrence inputs when nothing the node
+// reads changed (refresh); keep ⟦ψ⟧ by ψ's source deltas when φ's read
+// set is untouched (delta); otherwise re-enumerate ψ and re-test φ for
+// every entry (full). Aging — times entering and leaving the metric
+// window — runs on every path, so answers stay exact.
 func (s *sinceNode) phaseA(sc *stepCtx, ev *fol.Evaluator, t uint64) error {
 	s.added = s.added[:0]
 	s.removed = s.removed[:0]
-
-	// Refresh fast path: nothing the recurrence reads changed, so each
-	// entry's cached inRB/keep inputs still hold — replay the recurrence
-	// from the cache. Aging (times entering and leaving the metric
-	// window) still runs, so answers stay exact.
-	if s.primed && s.deps.clean(sc) {
-		s.refresh(t)
-		s.finish(t)
-		return nil
+	var err error
+	switch {
+	case s.primed && s.lDeps.clean(sc) && s.rDeps.clean(sc):
+		s.path = pathRefresh
+		s.replay(t)
+	case s.psiByDelta(sc):
+		s.path = pathDelta
+		err = s.deltaA(sc, ev, t)
+	default:
+		s.path = pathFull
+		err = s.fullA(sc, ev, t)
 	}
+	if err != nil {
+		return err
+	}
+	s.finish(t)
+	return nil
+}
 
-	for _, e := range s.entries {
+// psiByDelta reports whether the delta path is sound this commit, and
+// loads ψ's source deltas when it is: the cached inRB flags are ⟦ψ⟧ at
+// the previous commit (primed), ψ's plan is seedable and not
+// domain-dependent, φ's read set is untouched, so the cached keep flags
+// still hold, and every ψ source delta is exact and pins the rows its
+// kills touch.
+func (s *sinceNode) psiByDelta(sc *stepCtx) bool {
+	if !s.primed || !s.psi.canSeed || s.rDeps.domDep || !s.lDeps.clean(sc) {
+		return false
+	}
+	exact, pinned := s.psi.load(sc)
+	return exact && pinned
+}
+
+// anchor records that row (whose key is key) satisfies ψ at t: it sets
+// the entry's inRB flag, or creates a fresh entry {t} and reports it.
+func (s *sinceNode) anchor(row tuple.Tuple, key []byte, t uint64) (*sinceEntry, bool, error) {
+	if e, ok := s.entries[string(key)]; ok {
+		e.inRB = true
+		return e, false, nil
+	}
+	e := &sinceEntry{key: string(key), row: row.Clone(), times: []uint64{t}, inRB: true, keep: true, stamp: t + 1}
+	s.addEntry(e)
+	if s.iv.Contains(0) {
+		if err := s.ans.AddRow(e.row); err != nil {
+			return nil, false, err
+		}
+		e.inAns = true
+		s.added = append(s.added, e.row)
+	}
+	return e, true, nil
+}
+
+// chain decides θ ⊨ φ for an entry row (always true for once).
+func (s *sinceNode) chain(ev *fol.Evaluator, row tuple.Tuple) (bool, error) {
+	if s.isOnce() {
+		return true, nil
+	}
+	if s.envBuf == nil {
+		s.envBuf = make(fol.Env, len(s.lvars)+1)
+	}
+	for i, p := range s.lPos {
+		s.envBuf[s.lvars[i]] = row[p]
+	}
+	ok, err := ev.Test(s.left, s.envBuf)
+	if err != nil {
+		return false, fmt.Errorf("core: %q: testing chain: %w", s.node.String(), err)
+	}
+	return ok, nil
+}
+
+// fullA is the full path: enumerate ⟦ψ⟧ in the new state (marking
+// surviving entries and creating fresh anchors), then re-test φ for
+// every entry and apply the recurrence. The compiled plan streams rows
+// without materializing the binding set; the tree-walking evaluator is
+// the fallback.
+func (s *sinceNode) fullA(sc *stepCtx, ev *fol.Evaluator, t uint64) error {
+	for _, e := range s.list {
 		e.inRB = false
 	}
-
-	// Enumerate ⟦ψ⟧ in the new state: mark surviving entries, create
-	// fresh anchors. The compiled plan streams rows without materializing
-	// the binding set; the tree-walking evaluator is the fallback.
-	newRow := func(row tuple.Tuple, key []byte) error {
-		if e, ok := s.entries[string(key)]; ok {
-			e.inRB = true
-			return nil
-		}
-		e := &sinceEntry{row: row.Clone(), times: []uint64{t}, inRB: true, keep: true, stamp: t + 1}
-		s.entries[string(key)] = e
-		if s.iv.Contains(0) {
-			if err := s.ans.AddRow(e.row); err != nil {
-				return err
-			}
-			s.added = append(s.added, e.row)
-		}
-		return nil
+	var markErr error
+	mark := func(row tuple.Tuple) bool {
+		s.keyBuf = row.AppendKeyTo(s.keyBuf[:0])
+		_, _, markErr = s.anchor(row, s.keyBuf, t)
+		return markErr == nil
 	}
-	if s.rightPlan != nil && sc != nil && sc.planned {
-		var emitErr error
-		err := s.rightPlan.Execute(sc.c.cur, sc.orc, nil, func(row tuple.Tuple) bool {
-			s.keyBuf = row.AppendKeyTo(s.keyBuf[:0])
-			if e := newRow(row, s.keyBuf); e != nil {
-				emitErr = e
-				return false
-			}
-			return true
-		})
+	if s.psi.plan != nil && sc != nil && sc.planned {
+		err := s.psi.plan.Execute(sc.c.cur, sc.orc, nil, mark)
 		if err == nil {
-			err = emitErr
+			err = markErr
 		}
 		if err != nil {
 			return fmt.Errorf("core: %q: %w", s.node.String(), err)
@@ -350,58 +435,73 @@ func (s *sinceNode) phaseA(sc *stepCtx, ev *fol.Evaluator, t uint64) error {
 			return fmt.Errorf("core: %q: right-hand side bound %v, node needs %v",
 				s.node.String(), rb.Vars(), s.vars)
 		}
-		var rowErr error
-		rb.EachRow(func(row tuple.Tuple) bool {
-			s.keyBuf = row.AppendKeyTo(s.keyBuf[:0])
-			if e := newRow(row, s.keyBuf); e != nil {
-				rowErr = e
-				return false
-			}
-			return true
-		})
-		if rowErr != nil {
-			return rowErr
+		rb.EachRow(mark)
+		if markErr != nil {
+			return markErr
 		}
 	}
 
-	// Update surviving entries per the recurrence, re-evaluating the
-	// chain φ, and maintain the answer set.
-	once := s.isOnce()
-	lPos := varPositions(s.vars, s.lvars)
-	if s.envBuf == nil {
-		s.envBuf = make(fol.Env, len(s.lvars)+1)
-	}
-	for key, e := range s.entries {
-		keep := once
-		if !once {
-			for i, p := range lPos {
-				s.envBuf[s.lvars[i]] = e.row[p]
-			}
-			ok, err := ev.Test(s.left, s.envBuf)
-			if err != nil {
-				return fmt.Errorf("core: %q: testing chain: %w", s.node.String(), err)
-			}
-			keep = ok
+	// Downward, so dropEntry's swap-remove only moves visited entries.
+	for i := len(s.list) - 1; i >= 0; i-- {
+		e := s.list[i]
+		keep, err := s.chain(ev, e.row)
+		if err != nil {
+			return err
 		}
-		// Cache the chain's truth for the refresh fast path — fresh
+		// Cache the chain's truth for the refresh and delta paths — fresh
 		// anchors included: their recurrence ignores φ this commit (times
-		// is just {t}), but the next clean commit replays from the cache.
+		// is just {t}), but later commits replay from the cache.
 		e.keep = keep
 		if e.stamp == t+1 {
 			continue // created above; times already [t], answer updated
 		}
-		if err := s.applyRecurrence(key, e, keep, t); err != nil {
+		if err := s.applyRecurrence(e, keep, t); err != nil {
 			return err
 		}
 	}
-	s.finish(t)
+	return nil
+}
+
+// deltaA is the delta path: retest the inRB entries ψ's kills pin,
+// anchor the rows ψ's seeds derive (testing φ for fresh entries only),
+// then replay the recurrence from the flags.
+func (s *sinceNode) deltaA(sc *stepCtx, ev *fol.Evaluator, t uint64) error {
+	var rerr error
+	err := s.psi.eachTouched(func(row tuple.Tuple) bool {
+		s.keyBuf = row.AppendKeyTo(s.keyBuf[:0])
+		e, ok := s.entries[string(s.keyBuf)]
+		if !ok || !e.inRB {
+			return true
+		}
+		e.inRB, rerr = s.psi.plan.RetestRow(sc.c.cur, sc.orc, row)
+		return rerr == nil
+	})
+	if err == nil && rerr == nil {
+		err = s.psi.eachSeeded(sc, func(row tuple.Tuple) bool {
+			s.keyBuf = row.AppendKeyTo(s.keyBuf[:0])
+			var e *sinceEntry
+			var fresh bool
+			if e, fresh, rerr = s.anchor(row, s.keyBuf, t); rerr == nil && fresh {
+				e.keep, rerr = s.chain(ev, e.row)
+			}
+			return rerr == nil
+		})
+	}
+	if err == nil {
+		err = rerr
+	}
+	if err != nil {
+		return fmt.Errorf("core: %q: %w", s.node.String(), err)
+	}
+	s.replay(t)
 	return nil
 }
 
 // applyRecurrence replays one entry's recurrence step from keep/inRB,
-// prunes, deletes empty entries, and maintains the answer set.
-func (s *sinceNode) applyRecurrence(key string, e *sinceEntry, keep bool, t uint64) error {
-	before := s.ans.ContainsKey(key)
+// prunes, deletes empty entries, and maintains the answer set and the
+// storage totals.
+func (s *sinceNode) applyRecurrence(e *sinceEntry, keep bool, t uint64) error {
+	n0 := len(e.times)
 	if !keep {
 		e.times = e.times[:0]
 	}
@@ -409,34 +509,68 @@ func (s *sinceNode) applyRecurrence(key string, e *sinceEntry, keep bool, t uint
 		e.times = append(e.times, t)
 	}
 	s.prune(e, t)
+	s.nTimes += len(e.times) - n0
 	after := len(e.times) > 0 && s.satisfied(e, t)
 	if len(e.times) == 0 {
-		delete(s.entries, key)
+		s.dropEntry(e)
 	}
-	if before && !after {
-		s.ans.RemoveKey(key)
+	if e.inAns && !after {
+		s.ans.RemoveKey(e.key)
+		e.inAns = false
 		s.removed = append(s.removed, e.row)
-	} else if !before && after {
+	} else if !e.inAns && after {
 		if err := s.ans.AddRow(e.row); err != nil {
 			return err
 		}
+		e.inAns = true
 		s.added = append(s.added, e.row)
 	}
 	return nil
 }
 
-// refresh replays the recurrence for every entry from the cached
-// inRB/keep flags — no formula evaluation, no fresh anchors (an
-// unchanged ⟦ψ⟧ cannot contain a row without an entry: every ⟦ψ⟧ row is
-// an entry with inRB set, and inRB entries always retain the current
-// timestamp and so are never deleted).
-func (s *sinceNode) refresh(t uint64) {
+// replay applies the recurrence to every entry not created this commit
+// from its cached inRB/keep flags — no formula evaluation. On the refresh
+// path no entry is fresh: an unchanged ⟦ψ⟧ cannot contain a row without
+// an entry (every ⟦ψ⟧ row is an entry with inRB set, and inRB entries
+// always retain the current timestamp and so are never deleted).
+func (s *sinceNode) replay(t uint64) {
 	once := s.isOnce()
-	for key, e := range s.entries {
+	// Downward, so dropEntry's swap-remove only moves visited entries.
+	for i := len(s.list) - 1; i >= 0; i-- {
+		e := s.list[i]
+		if e.stamp == t+1 {
+			continue
+		}
 		// applyRecurrence cannot error here: it only errors on AddRow of
 		// a stable entry row, whose arity matched when first added.
-		_ = s.applyRecurrence(key, e, once || e.keep, t)
+		_ = s.applyRecurrence(e, once || e.keep, t)
 	}
+}
+
+// entryBytes is an entry's storage estimate without its timestamps,
+// which cost 8 bytes each; the key is the row's tuple.Key encoding, so
+// len(key) is the key's size without re-encoding.
+func entryBytes(e *sinceEntry) int { return len(e.key) + e.row.Size() + 48 }
+
+// addEntry stores a new entry (key set) and counts it in the totals.
+func (s *sinceNode) addEntry(e *sinceEntry) {
+	s.entries[e.key] = e
+	e.pos = len(s.list)
+	s.list = append(s.list, e)
+	s.nTimes += len(e.times)
+	s.fixedBytes += entryBytes(e)
+}
+
+// dropEntry deletes an entry, moving the last entry of list into its
+// slot, and uncounts it.
+func (s *sinceNode) dropEntry(e *sinceEntry) {
+	delete(s.entries, e.key)
+	last := s.list[len(s.list)-1]
+	s.list[e.pos], last.pos = last, e.pos
+	s.list[len(s.list)-1] = nil
+	s.list = s.list[:len(s.list)-1]
+	s.nTimes -= len(e.times)
+	s.fixedBytes -= entryBytes(e)
 }
 
 // finish seals the commit: answers now served for time t.
@@ -535,15 +669,9 @@ func (s *sinceNode) answerDelta() ([]tuple.Tuple, []tuple.Tuple, bool) {
 	return s.added, s.removed, true
 }
 
-// usage counts the entries' storage; an entry's map key is its row's
-// tuple.Key encoding, so len(key) is the key's size without re-encoding.
+// usage reports the entries' storage from the running totals, in O(1).
 func (s *sinceNode) usage() NodeStats {
-	st := NodeStats{Entries: len(s.entries)}
-	for key, e := range s.entries {
-		st.Timestamps += len(e.times)
-		st.Bytes += len(key) + e.row.Size() + 8*len(e.times) + 48
-	}
-	return st
+	return NodeStats{Entries: len(s.entries), Timestamps: s.nTimes, Bytes: s.fixedBytes + 8*s.nTimes}
 }
 
 // Invariants returns an error if the node's internal invariants are
@@ -565,6 +693,32 @@ func (s *sinceNode) invariants(now uint64) error {
 			return fmt.Errorf("core: %q: maintained answer has %d rows, %d entries satisfied",
 				s.node.String(), s.ans.Len(), sat)
 		}
+	}
+	var walk NodeStats
+	inAns := 0
+	if len(s.list) != len(s.entries) {
+		return fmt.Errorf("core: %q: %d listed entries, %d indexed", s.node.String(), len(s.list), len(s.entries))
+	}
+	for key, e := range s.entries {
+		if e.key != key || e.pos >= len(s.list) || s.list[e.pos] != e {
+			return fmt.Errorf("core: %q: entry %s misplaced (key %s, list position %d)", s.node.String(), key, e.key, e.pos)
+		}
+		walk.Timestamps += len(e.times)
+		walk.Bytes += entryBytes(e) + 8*len(e.times)
+		if e.inAns != s.ans.ContainsKey(key) {
+			return fmt.Errorf("core: %q: entry %s has inAns=%v, answer membership %v",
+				s.node.String(), key, e.inAns, !e.inAns)
+		}
+		if e.inAns {
+			inAns++
+		}
+	}
+	if inAns != s.ans.Len() {
+		return fmt.Errorf("core: %q: %d entries flagged in the answer, answer has %d rows", s.node.String(), inAns, s.ans.Len())
+	}
+	walk.Entries = len(s.entries)
+	if got := s.usage(); got != walk {
+		return fmt.Errorf("core: %q: running totals %+v, walk %+v", s.node.String(), got, walk)
 	}
 	if s.noPrune {
 		return nil // the ablation deliberately violates the space bounds

@@ -87,6 +87,10 @@ type Checker struct {
 	started bool
 
 	pruningDisabled bool
+	// fullScan disables the delta-proportional paths — targeted retests
+	// of denial answers, ψ kept by delta in since/once nodes — so tests
+	// can hold them against the full-scan fallbacks they replace.
+	fullScan bool
 
 	obs *obs.Observer
 	// conMetrics caches the per-constraint metric handles (violation
@@ -144,11 +148,12 @@ func WithEvaluation(m EvalMode) Option {
 }
 
 // conState is the per-constraint planning state: the compiled denial
-// plan (nil when the denial's shape is unsupported and the tree-walking
-// evaluator takes over), the read-set index the skip decision consults,
-// and the previous commit's denial answer for reuse and retesting.
+// plan with its seedable sources (plan nil when the denial's shape is
+// unsupported and the tree-walking evaluator takes over), the read-set
+// index the skip decision consults, and the previous commit's denial
+// answer for reuse and retesting.
 type conState struct {
-	plan    *plan.Plan
+	seededPlan
 	planErr string // why plan compilation fell back, for SkipInfo
 	// readRels are the relations of the denial's first-order skeleton;
 	// nodes the auxiliary nodes of its outermost temporal subformulas;
@@ -158,30 +163,11 @@ type conState struct {
 	// domDep marks denials with universal quantification, whose truth
 	// can change with the active domain: never skipped.
 	domDep bool
-	// sources/srcNode are the plan's seedable literal occurrences and,
-	// for temporal sources, their auxiliary nodes; canSeed gates the
-	// semi-naive path.
-	sources []plan.Source
-	srcNode []auxNode
-	canSeed bool
 	// lastB is the denial's answer at the previous commit (planned mode
-	// only); nil until the first check.
-	lastB *fol.Bindings
-}
-
-// inexactDirty reports whether any temporal source changed without an
-// exact row-level delta (prev nodes) — semi-naive seeding would miss
-// derivations, so the constraint falls back to full plan execution.
-func (cs *conState) inexactDirty() bool {
-	for _, n := range cs.srcNode {
-		if n == nil {
-			continue
-		}
-		if _, _, exact := n.answerDelta(); !exact && n.dirty() {
-			return true
-		}
-	}
-	return false
+	// only); nil until the first check. keyBuf is scratch for probing it
+	// (one goroutine checks a constraint per commit).
+	lastB  *fol.Bindings
+	keyBuf []byte
 }
 
 // WithParallelism sets the worker-pool width of the commit pipeline.
@@ -259,25 +245,7 @@ func (c *Checker) planConstraint(con *check.Constraint) *conState {
 		cs.planErr = err.Error()
 		return cs
 	}
-	cs.plan = p
-	if p.Seedable() {
-		cs.sources = p.Sources()
-		cs.srcNode = make([]auxNode, len(cs.sources))
-		cs.canSeed = true
-		for i, src := range cs.sources {
-			if src.IsRel {
-				continue
-			}
-			node, ok := c.byNode[src.Temp]
-			if !ok {
-				// Unreachable: compile registered every temporal
-				// subformula of the denial. Disable seeding, keep the plan.
-				cs.canSeed = false
-				break
-			}
-			cs.srcNode[i] = node
-		}
-	}
+	cs.seededPlan = c.seedPlan(p)
 	return cs
 }
 
@@ -401,19 +369,22 @@ func (c *Checker) register(f mtl.Formula, node auxNode) {
 func (c *Checker) bindNode(node auxNode) {
 	switch n := node.(type) {
 	case *prevNode:
-		n.deps = nodeDeps{
-			srcRels:  skeletonRels(n.n.F),
-			children: c.directNodes(n.n.F),
-			domDep:   domainDependent(n.n.F),
-		}
+		n.deps = c.depsOf(n.n.F)
 		n.fPlan, _ = plan.Compile(n.n.F, c.cur, nil)
 	case *sinceNode:
-		n.deps = nodeDeps{
-			srcRels:  skeletonRels(n.left, n.right),
-			children: c.directNodes(n.left, n.right),
-			domDep:   domainDependent(n.left) || domainDependent(n.right),
-		}
-		n.rightPlan, _ = plan.Compile(n.right, c.cur, nil)
+		n.lDeps = c.depsOf(n.left)
+		n.rDeps = c.depsOf(n.right)
+		p, _ := plan.Compile(n.right, c.cur, nil)
+		n.psi = c.seedPlan(p)
+	}
+}
+
+// depsOf derives the read set of a node formula.
+func (c *Checker) depsOf(f mtl.Formula) nodeDeps {
+	return nodeDeps{
+		srcRels:  skeletonRels(f),
+		children: c.directNodes(f),
+		domDep:   domainDependent(f),
 	}
 }
 
@@ -966,14 +937,22 @@ func (c *Checker) checkCon(ev *fol.Evaluator, sc *stepCtx, i int) (*fol.Bindings
 func (c *Checker) checkPlanned(ev *fol.Evaluator, sc *stepCtx, i int, cs *conState) error {
 	name := c.constraints[i].Name
 	clean := !cs.domDep && !sc.relsChanged(cs.readRels) && !anyDirty(cs.nodes)
+	var exact, pinned bool
+	if !clean && cs.canSeed && cs.lastB != nil {
+		exact, pinned = cs.load(sc)
+	}
 	switch {
 	case clean && cs.lastB != nil:
 		c.lastSkips[i] = SkipInfo{Constraint: name, Action: ActionSkipped, Reason: "read set untouched"}
-	case cs.canSeed && cs.lastB != nil && !cs.inexactDirty():
-		if err := c.seminaive(sc, cs); err != nil {
+	case exact:
+		if err := c.seminaive(sc, cs, pinned); err != nil {
 			return err
 		}
-		c.lastSkips[i] = SkipInfo{Constraint: name, Action: ActionSeeded, Reason: "re-derived from delta"}
+		reason := "re-derived from delta"
+		if !pinned {
+			reason = "re-derived from delta, every row retested"
+		}
+		c.lastSkips[i] = SkipInfo{Constraint: name, Action: ActionSeeded, Reason: reason}
 	case cs.plan != nil:
 		b, err := cs.plan.Eval(c.cur, sc.orc, nil)
 		if err != nil {
@@ -1009,73 +988,59 @@ func fullEvalReason(clean bool, cs *conState) string {
 }
 
 // seminaive brings the previous denial answer up to the new state in
-// place: surviving rows are retested under the new state (changes can
-// only invalidate them) and dropped when they fail, then each changed
-// source literal seeds plan execution with its delta rows and the
-// derived rows join the same set — any *new* answer needs a literal that
-// flipped this commit, and every flip appears in a relation delta or an
-// exact node answer delta. Sound only because cs.lastB is the checker's
-// own set (a plan.Eval or seminaive output): the tree-walk path, whose
-// answer may be a node's maintained set, never seeds.
-func (c *Checker) seminaive(sc *stepCtx, cs *conState) error {
+// place (see seededPlan), after cs.load: cached rows a kill can falsify
+// are retested and dropped when they fail — only the rows the kills pin
+// when the changed sources pin them, every row otherwise — then the
+// seeds derive the new rows into the same set. Sound only because
+// cs.lastB is the checker's own set (a plan.Eval or seminaive output):
+// the tree-walk path, whose answer may be a node's maintained set, never
+// seeds.
+func (c *Checker) seminaive(sc *stepCtx, cs *conState, pinned bool) (err error) {
 	b := cs.lastB
 	var rerr error
-	b.EachRowKey(func(key string, row tuple.Tuple) bool {
-		ok, err := cs.plan.RetestRow(c.cur, sc.orc, row)
-		if err != nil {
-			rerr = err
-			return false
-		}
-		if !ok {
-			b.RemoveKey(key)
-		}
-		return true
-	})
-	if rerr != nil {
-		return rerr
+	if pinned {
+		err = cs.eachTouched(func(row tuple.Tuple) bool {
+			cs.keyBuf = row.AppendKeyTo(cs.keyBuf[:0])
+			if !b.ContainsKeyBytes(cs.keyBuf) {
+				return true
+			}
+			ok, err := cs.plan.RetestRow(c.cur, sc.orc, row)
+			if err != nil {
+				rerr = err
+				return false
+			}
+			if !ok {
+				b.RemoveKeyBytes(cs.keyBuf)
+			}
+			return true
+		})
+	} else {
+		b.EachRowKey(func(key string, row tuple.Tuple) bool {
+			ok, err := cs.plan.RetestRow(c.cur, sc.orc, row)
+			if err != nil {
+				rerr = err
+				return false
+			}
+			if !ok {
+				b.RemoveKey(key)
+			}
+			return true
+		})
 	}
-	emit := func(row tuple.Tuple) bool {
+	if err == nil {
+		err = rerr
+	}
+	if err != nil {
+		return err
+	}
+	err = cs.eachSeeded(sc, func(row tuple.Tuple) bool {
 		rerr = b.AddRow(row)
 		return rerr == nil
+	})
+	if err == nil {
+		err = rerr
 	}
-	for k, src := range cs.sources {
-		var seeds []tuple.Tuple
-		if src.IsRel {
-			d := sc.relDeltaOf(src.Rel)
-			if d == nil {
-				continue
-			}
-			if src.Positive {
-				seeds = d.inserted
-			} else {
-				seeds = d.deleted
-			}
-		} else {
-			node := cs.srcNode[k]
-			if node == nil || !node.dirty() {
-				continue
-			}
-			added, removed, exact := node.answerDelta()
-			if !exact {
-				return fmt.Errorf("core: semi-naive check with inexact source delta for %q", src.Temp.String())
-			}
-			if src.Positive {
-				seeds = added
-			} else {
-				seeds = removed
-			}
-		}
-		if len(seeds) == 0 {
-			continue
-		}
-		if err := cs.plan.ExecuteSeeded(c.cur, sc.orc, src, seeds, emit); err != nil {
-			return err
-		}
-		if rerr != nil {
-			return rerr
-		}
-	}
-	return nil
+	return err
 }
 
 // State returns the current database state; callers must not mutate it.
@@ -1139,17 +1104,24 @@ func (s *Stats) add(ns NodeStats) {
 }
 
 // CheckInvariants verifies the internal invariants of every auxiliary
-// node (sorted, in-window, deduplicated timestamp sets) and, in planned
-// mode, that every planned constraint's maintained denial answer equals
-// a full execution of its plan on the current state; used by tests.
+// node (sorted, in-window, deduplicated timestamp sets, answer flags and
+// running storage totals) and, in planned mode, that every primed
+// seedable since/once node's cached ⟦ψ⟧ flags and every planned
+// constraint's maintained denial answer equal a full execution of the
+// plan on the current state; used by tests.
 func (c *Checker) CheckInvariants() error {
 	if !c.started {
 		return nil
 	}
 	for _, n := range c.nodes {
-		if s, ok := n.(*sinceNode); ok {
-			if err := s.invariants(c.now); err != nil {
+		switch n := n.(type) {
+		case *sinceNode:
+			if err := n.invariants(c.now); err != nil {
 				return err
+			}
+		case *prevNode:
+			if n.has && n.storedBytes != n.stored.Size() {
+				return fmt.Errorf("core: %q: cached size %d, stored answer has %d bytes", n.n.String(), n.storedBytes, n.stored.Size())
 			}
 		}
 	}
@@ -1157,6 +1129,27 @@ func (c *Checker) CheckInvariants() error {
 		return nil
 	}
 	orc := servedOracle{&oracle{c: c, now: c.now}}
+	for _, n := range c.nodes {
+		s, ok := n.(*sinceNode)
+		if !ok || !s.primed || !s.psi.canSeed {
+			continue
+		}
+		want, err := s.psi.plan.Eval(c.cur, orc, nil)
+		if err != nil {
+			return fmt.Errorf("core: %q: re-evaluating ψ: %w", s.node.String(), err)
+		}
+		got := fol.NewBindings(s.vars)
+		for _, e := range s.entries {
+			if e.inRB {
+				if err := got.AddRow(e.row); err != nil {
+					return err
+				}
+			}
+		}
+		if !want.Equal(got) {
+			return fmt.Errorf("core: %q: cached ψ rows %s, full plan evaluation %s", s.node.String(), got, want)
+		}
+	}
 	for i, cs := range c.conStates {
 		if cs.plan == nil || cs.lastB == nil {
 			continue

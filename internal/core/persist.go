@@ -287,7 +287,7 @@ func decodeNode(node auxNode, sn snapNode) error {
 			if b == nil {
 				return fmt.Errorf("core: snapshot prev rows have wrong arity for %s", n.n.String())
 			}
-			n.stored = b
+			n.stored, n.storedBytes = b, b.Size()
 		}
 		return nil
 	case *sinceNode:
@@ -299,10 +299,15 @@ func decodeNode(node auxNode, sn snapNode) error {
 				return fmt.Errorf("core: snapshot entry arity %d for node %s (want %d)",
 					len(e.Row), n.node.String(), len(n.vars))
 			}
-			n.entries[e.Row.Key()] = &sinceEntry{
+			key := e.Row.Key()
+			if _, dup := n.entries[key]; dup {
+				return fmt.Errorf("core: snapshot repeats entry %s of node %s", e.Row, n.node.String())
+			}
+			n.addEntry(&sinceEntry{
+				key:   key,
 				row:   e.Row.Clone(),
 				times: append([]uint64(nil), e.Times...),
-			}
+			})
 		}
 		return nil
 	default:

@@ -182,6 +182,10 @@ func (b *Bindings) ContainsKey(key string) bool {
 // reporting whether it was present.
 func (b *Bindings) RemoveKey(key string) bool { return b.rel.DeleteKey(key) }
 
+// RemoveKeyBytes is RemoveKey for a key held in a byte slice, without
+// allocating.
+func (b *Bindings) RemoveKeyBytes(key []byte) bool { return b.rel.DeleteKeyBytes(key) }
+
 // Clone returns an independent copy of the binding set.
 func (b *Bindings) Clone() *Bindings {
 	return &Bindings{vars: b.vars, rel: b.rel.Clone()}

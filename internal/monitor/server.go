@@ -269,6 +269,7 @@ func (s *Server) handle(conn net.Conn) {
 	if err := sc.Err(); err != nil {
 		if errors.Is(err, bufio.ErrTooLong) {
 			replyError("line exceeds %d bytes", maxLineBytes)
+			discardLine(conn)
 			return
 		}
 		if errors.Is(err, os.ErrDeadlineExceeded) {
@@ -276,6 +277,24 @@ func (s *Server) handle(conn net.Conn) {
 			return
 		}
 		replyError("read: %v", err)
+	}
+}
+
+// discardLine reads and drops the rest of an oversized line, bounded
+// in bytes and time, before the connection closes: closing a socket
+// with unread input makes the kernel reset the connection, and a reset
+// can destroy the error reply still in flight to the client.
+func discardLine(conn net.Conn) {
+	// Best effort: without the deadline the drain still ends at the byte
+	// cap, at EOF, or when Server.Close closes the connection.
+	conn.SetReadDeadline(time.Now().Add(time.Second))
+	buf := make([]byte, 32<<10)
+	for n := 0; n < 4*maxLineBytes; {
+		k, err := conn.Read(buf)
+		if err != nil || bytes.IndexByte(buf[:k], '\n') >= 0 {
+			return
+		}
+		n += k
 	}
 }
 

@@ -110,6 +110,10 @@ type seedVariant struct {
 	source Source
 	args   []argSpec // unification of the seed row against the literal
 	steps  []step    // remaining conjuncts, ordered
+	// pins: unifying a row against the literal binds every output
+	// variable, so a changed source row determines the one answer row it
+	// can affect through this occurrence (see TouchedRows).
+	pins bool
 }
 
 type conj struct {
@@ -168,6 +172,20 @@ func (p *Plan) Sources() []Source {
 		}
 	}
 	return out
+}
+
+// Pins reports whether every occurrence of src binds every output
+// variable, so that TouchedRows can name the answer rows a changed row
+// of src affects. A source the plan does not read pins vacuously.
+func (p *Plan) Pins(src Source) bool {
+	for _, cj := range p.disjuncts {
+		for _, sv := range cj.seeds {
+			if sv.source == src && !sv.pins {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // literal is one classified conjunct during compilation.
@@ -299,7 +317,7 @@ func (c *compiler) compileDisjunct(d mtl.Formula) (*conj, bool, error) {
 			cj.probe, cj.probeOK = probe, true
 		}
 		for li, l := range lits {
-			sv, ok := c.seedVariant(lits, li, l)
+			sv, ok := c.seedVariant(lits, li, l, cj.out)
 			if !ok {
 				cj.seeds = nil
 				flat = false
@@ -318,8 +336,8 @@ func (c *compiler) compileDisjunct(d mtl.Formula) (*conj, bool, error) {
 
 // seedVariant builds the delta-driven variant seeded from literal li:
 // the seed row binds the literal's variables, and the remaining
-// conjuncts run from there.
-func (c *compiler) seedVariant(lits []literal, li int, l literal) (seedVariant, bool) {
+// conjuncts run from there. out holds the disjunct's output slots.
+func (c *compiler) seedVariant(lits []literal, li int, l literal, out []int) (seedVariant, bool) {
 	var src Source
 	switch l.kind {
 	case kScanRel:
@@ -340,12 +358,18 @@ func (c *compiler) seedVariant(lits []literal, li int, l literal) (seedVariant, 
 			bound[c.slotOf[v.Name]] = true
 		}
 	}
+	// Decide pinning now: orderSteps below marks the slots the remaining
+	// conjuncts bind.
+	pins := true
+	for _, s := range out {
+		pins = pins && bound[s]
+	}
 	rest := append(append([]literal(nil), lits[:li]...), lits[li+1:]...)
 	steps, err := c.orderSteps(rest, bound)
 	if err != nil {
 		return seedVariant{}, false
 	}
-	return seedVariant{source: src, args: args, steps: steps}, true
+	return seedVariant{source: src, args: args, steps: steps, pins: pins}, true
 }
 
 func (c *compiler) slot(v string) int {
@@ -760,6 +784,41 @@ func (p *Plan) ExecuteSeeded(st *storage.State, oracle fol.Oracle, src Source, s
 				if !cont {
 					return nil
 				}
+			}
+		}
+	}
+	return nil
+}
+
+// TouchedRows yields, for each occurrence of src, the answer row (aligned
+// with Vars()) that row pins: the one binding under which the occurrence
+// reads row. Only such answer rows can change truth when row enters or
+// leaves src. Occurrences the row does not unify with yield nothing;
+// rows are scratch, and f returning false stops the walk. Only valid
+// when Seedable() and Pins(src).
+//
+//rtic:noalloc
+func (p *Plan) TouchedRows(src Source, row tuple.Tuple, f func(tuple.Tuple) bool) error {
+	es := p.getState()
+	defer p.putState(es)
+	for _, cj := range p.disjuncts {
+		for _, sv := range cj.seeds {
+			if sv.source != src {
+				continue
+			}
+			if !sv.pins || len(row) != len(sv.args) {
+				return fmt.Errorf("plan: row %v cannot pin an answer row through %v", row, src) //rtic:allocok cold path: a caller bug (Pins unchecked or arity mismatch), never taken in steady state
+			}
+			if !unify(es, sv.args, row) {
+				continue
+			}
+			out := es.row[:0]
+			for _, s := range cj.out {
+				out = append(out, es.slots[s])
+			}
+			es.row = out
+			if !f(out) {
+				return nil
 			}
 		}
 	}

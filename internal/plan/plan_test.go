@@ -336,6 +336,73 @@ func TestPlanExecuteSeeded(t *testing.T) {
 	}
 }
 
+// TestPlanTouchedRows pins the answer rows a changed source row names:
+// constants filter, repeated variables must agree, every occurrence of
+// the source (across literals and disjuncts) pins its own row, and a
+// source that leaves an output variable unbound does not pin at all.
+func TestPlanTouchedRows(t *testing.T) {
+	st := storage.NewState(testSchema(t))
+	src := func(p *Plan, rel string, pos bool) Source {
+		t.Helper()
+		for _, s := range p.Sources() {
+			if s.IsRel && s.Rel == rel && s.Positive == pos {
+				return s
+			}
+		}
+		t.Fatalf("%s: no source %s (positive=%v) in %v", p.Formula(), rel, pos, p.Sources())
+		return Source{}
+	}
+	touched := func(p *Plan, s Source, row tuple.Tuple) string {
+		t.Helper()
+		var got []string
+		if err := p.TouchedRows(s, row, func(r tuple.Tuple) bool {
+			got = append(got, r.String())
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		sort.Strings(got)
+		return strings.Join(got, " ")
+	}
+	for _, tc := range []struct {
+		formula, rel string
+		positive     bool
+		row          tuple.Tuple
+		want         string
+	}{
+		{"r(x, 3) and not q(x)", "r", true, tuple.Ints(1, 3), "(1)"},
+		{"r(x, 3) and not q(x)", "r", true, tuple.Ints(1, 4), ""},
+		{"r(x, 3) and not q(x)", "q", false, tuple.Ints(5), "(5)"},
+		{"r(x, x) and p(x)", "r", true, tuple.Ints(2, 2), "(2)"},
+		{"r(x, x) and p(x)", "r", true, tuple.Ints(2, 1), ""},
+		{"r(x, y) and r(y, x)", "r", true, tuple.Ints(1, 2), "(1, 2) (2, 1)"},
+		{"p(x) and not q(x) or r(x, 1) and q(x)", "q", false, tuple.Ints(4), "(4)"},
+		{"p(x) and not q(x) or r(x, 1) and q(x)", "q", true, tuple.Ints(4), "(4)"},
+	} {
+		p, err := Compile(mtl.MustParse(tc.formula), st, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := src(p, tc.rel, tc.positive)
+		if !p.Pins(s) {
+			t.Fatalf("%s: %v does not pin", tc.formula, s)
+		}
+		if got := touched(p, s, tc.row); got != tc.want {
+			t.Errorf("%s: TouchedRows(%v, %v) = %q, want %q", tc.formula, s, tc.row, got, tc.want)
+		}
+	}
+	p, err := Compile(mtl.MustParse("r(x, y) and p(x)"), st, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !p.Pins(src(p, "r", true)) || p.Pins(src(p, "p", true)) {
+		t.Fatalf("r(x, y) must pin (x, y), p(x) must not")
+	}
+	if err := p.TouchedRows(src(p, "p", true), tuple.Ints(1), func(tuple.Tuple) bool { return true }); err == nil {
+		t.Fatal("TouchedRows through a non-pinning source must fail")
+	}
+}
+
 func TestPlanSeededMatchesDelta(t *testing.T) {
 	// Randomized: apply a delta, check that full evaluation after equals
 	// (surviving retested old answers) ∪ (seeded answers from the delta).
@@ -445,8 +512,8 @@ func (o keyOracle) TestKey(f mtl.Formula, key []byte) (bool, error) {
 
 // TestPlanAllocationFree pins zero steady-state allocations on every
 // entry point the checker runs per commit: full execution, and the
-// delta-driven RetestRow and ExecuteSeeded, seeded from a relation
-// source and from a temporal source.
+// delta-driven RetestRow, ExecuteSeeded and TouchedRows, through a
+// relation source and through a temporal source.
 func TestPlanAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -477,6 +544,27 @@ func TestPlanAllocationFree(t *testing.T) {
 	if relSrc.Rel == "" || tempSrc.Temp == nil {
 		t.Fatalf("sources %v lack p or the once literal", p.Sources())
 	}
+	// A second plan whose temporal literal pins every output variable,
+	// for TouchedRows through a temporal source.
+	pinned, err := Compile(mtl.MustParse("p(x) and not once[0,5] q(x)"), st, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rSrc, pinnedTemp Source
+	for _, src := range p.Sources() {
+		if src.IsRel && src.Rel == "r" {
+			rSrc = src
+		}
+	}
+	for _, src := range pinned.Sources() {
+		if !src.IsRel {
+			pinnedTemp = src
+			orc[src.Temp] = orc[tempSrc.Temp]
+		}
+	}
+	if !p.Pins(rSrc) || pinnedTemp.Temp == nil || !pinned.Pins(pinnedTemp) {
+		t.Fatalf("want pinning sources r(x, y) and once[0,5] q(x); got %v and %v", p.Sources(), pinned.Sources())
+	}
 	row, relSeeds, tempSeeds := tuple.Ints(1, 2), []tuple.Tuple{tuple.Ints(3)}, []tuple.Tuple{tuple.Ints(1)}
 	hits := 0
 	emit := func(tuple.Tuple) bool { hits++; return true }
@@ -488,6 +576,8 @@ func TestPlanAllocationFree(t *testing.T) {
 		},
 		"ExecuteSeeded/relation": func() error { return p.ExecuteSeeded(st, orc, relSrc, relSeeds, emit) },
 		"ExecuteSeeded/temporal": func() error { return p.ExecuteSeeded(st, orc, tempSrc, tempSeeds, emit) },
+		"TouchedRows/relation":   func() error { return p.TouchedRows(rSrc, row, emit) },
+		"TouchedRows/temporal":   func() error { return pinned.TouchedRows(pinnedTemp, tempSeeds[0], emit) },
 	} {
 		if err := run(); err != nil { // warm the pool
 			t.Fatalf("%s: %v", name, err)

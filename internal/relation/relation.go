@@ -67,24 +67,17 @@ func (r *Relation) MustInsert(t tuple.Tuple) bool {
 	return ok
 }
 
-// Delete removes t; it reports whether the tuple was present.
+// Delete removes t; it reports whether the tuple was present. Like
+// Insert it builds the key on the stack.
 func (r *Relation) Delete(t tuple.Tuple) bool {
-	k := t.Key()
-	stored, ok := r.rows[k]
-	if !ok {
-		return false
-	}
-	delete(r.rows, k)
-	for _, ix := range r.indexes {
-		ix.remove(stored)
-	}
-	return true
+	var buf [64]byte
+	return r.DeleteKeyBytes(t.AppendKeyTo(buf[:0]))
 }
 
-// Contains reports membership of t.
+// Contains reports membership of t, probing with a stack-built key.
 func (r *Relation) Contains(t tuple.Tuple) bool {
-	_, ok := r.rows[t.Key()]
-	return ok
+	var buf [64]byte
+	return r.ContainsKeyBytes(t.AppendKeyTo(buf[:0]))
 }
 
 // ContainsKeyBytes reports membership of the tuple whose Key() encoding
@@ -109,6 +102,20 @@ func (r *Relation) DeleteKey(key string) bool {
 		return false
 	}
 	delete(r.rows, key)
+	for _, ix := range r.indexes {
+		ix.remove(stored)
+	}
+	return true
+}
+
+// DeleteKeyBytes is DeleteKey for a key held in a byte slice; it does
+// not allocate.
+func (r *Relation) DeleteKeyBytes(key []byte) bool {
+	stored, ok := r.rows[string(key)]
+	if !ok {
+		return false
+	}
+	delete(r.rows, string(key))
 	for _, ix := range r.indexes {
 		ix.remove(stored)
 	}

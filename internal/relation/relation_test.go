@@ -225,3 +225,41 @@ func TestInsertOfPresentRowAllocatesNothing(t *testing.T) {
 		t.Fatalf("re-inserting a present row allocates %.1f objects, want 0", allocs)
 	}
 }
+
+// Membership probes and deletions build their key on the stack: neither
+// a present nor an absent row costs an allocation.
+func TestProbeAndDeleteAllocateNothing(t *testing.T) {
+	r := New(2)
+	present, absent := tuple.Ints(4, 2), tuple.Ints(9, 9)
+	absentKey := absent.AppendKeyTo(nil)
+	r.MustInsert(present)
+	for name, probe := range map[string]func(){
+		"Contains/present":      func() { r.Contains(present) },
+		"Contains/absent":       func() { r.Contains(absent) },
+		"Delete/absent":         func() { r.Delete(absent) },
+		"DeleteKeyBytes/absent": func() { r.DeleteKeyBytes(absentKey) },
+	} {
+		if allocs := testing.AllocsPerRun(100, probe); allocs != 0 {
+			t.Errorf("%s allocates %.1f objects, want 0", name, allocs)
+		}
+	}
+	const runs = 100
+	rows := make([]tuple.Tuple, runs+1)
+	for i := range rows {
+		rows[i] = tuple.Ints(int64(i), int64(-i))
+		r.MustInsert(rows[i])
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if !r.Delete(rows[next]) {
+			t.Fatalf("row %v was not present", rows[next])
+		}
+		next++
+	})
+	if allocs != 0 {
+		t.Errorf("Delete/present allocates %.1f objects, want 0", allocs)
+	}
+	if r.Len() != 1 || !r.Contains(present) {
+		t.Fatalf("after deletions: %s", r)
+	}
+}

@@ -18,7 +18,11 @@
 //  1. v appears as a direct argument of every relation atom in C's
 //     denial kernel, and
 //  2. v is free in every temporal subformula of the denial (read off
-//     the compiled schedule via core.Checker.ScheduleCosts), and
+//     the compiled schedule via core.Checker.ScheduleCosts), and every
+//     such subformula's anchor — ψ of once/since, φ of prev, the formula
+//     whose rows create its auxiliary entries — holds, in each of its
+//     disjuncts, only under a positive atom carrying v (directly or
+//     through a nested temporal subformula anchored the same way), and
 //  3. every relation C reads can be assigned a single partition column
 //     that carries v in all of C's atoms — consistently with the
 //     columns other partitionable constraints already claimed.
@@ -29,9 +33,12 @@
 // value v*. By (1) every tuple the witness touches carries v* in its
 // relation's partition column, so hash routing places all of them on
 // the one shard owning v*. By (2) the auxiliary nodes tracking the
-// witness's temporal history are keyed by bindings that include v, so
-// that shard's aux state for v* is exactly the unsharded aux state
-// restricted to v* — provided every shard steps at every commit
+// witness's temporal history are keyed by bindings that include v, and
+// by the anchor condition every such entry is created from a tuple
+// carrying its v value — so that shard's aux state for v* is exactly the
+// unsharded aux state restricted to v*, and no shard materialises an
+// entry another owns (an anchor like `x = 2` would create its entry on
+// every shard) — provided every shard steps at every commit
 // timestamp (the Router commits an empty sub-transaction to shards the
 // split leaves empty, so window arithmetic over timestamps agrees
 // everywhere). Hence the owning shard reports the witness and no other
@@ -207,10 +214,15 @@ func factsFor(s *schema.Schema, con *check.Constraint) (conFacts, string, error)
 	}
 	temporal := probe.ScheduleCosts()
 
+	unanchored := ""
 vars:
 	for _, v := range con.Vars {
 		for _, nc := range temporal {
 			if !containsString(mtl.FreeVars(nc.Node), v) {
+				continue vars
+			}
+			if !anchored(anchorOf(nc.Node), v) {
+				unanchored = nc.Node.String()
 				continue vars
 			}
 		}
@@ -231,9 +243,55 @@ vars:
 		f.cands = append(f.cands, candidate{v: v, cols: cols})
 	}
 	if len(f.cands) == 0 {
+		if unanchored != "" {
+			return f, fmt.Sprintf("temporal subformula %s is not anchored by a positive atom carrying a key variable; every shard would hold its entries", unanchored), nil
+		}
 		return f, "no variable appears in every atom and every temporal subformula", nil
 	}
 	return f, "", nil
+}
+
+// anchorOf returns the formula whose rows create a temporal node's
+// auxiliary entries.
+func anchorOf(f mtl.Formula) mtl.Formula {
+	switch n := f.(type) {
+	case *mtl.Once:
+		return n.F
+	case *mtl.Since:
+		return n.R
+	case *mtl.Prev:
+		return n.F
+	}
+	return f
+}
+
+// anchored reports whether every disjunct of f holds only under a
+// positive atom with v as a direct argument, found among its conjuncts
+// or, recursively, in an anchored disjunction, existential body (not
+// rebinding v) or temporal anchor.
+func anchored(f mtl.Formula, v string) bool {
+	for _, d := range mtl.Disjuncts(f) {
+		ok := false
+		for _, c := range mtl.Conjuncts(d) {
+			switch n := c.(type) {
+			case *mtl.Atom:
+				ok = len(argPositions(n, v)) > 0
+			case *mtl.Or:
+				ok = anchored(n, v)
+			case *mtl.Exists:
+				ok = !containsString(n.Vars, v) && anchored(n.F, v)
+			case *mtl.Once, *mtl.Since, *mtl.Prev:
+				ok = anchored(anchorOf(n), v)
+			}
+			if ok {
+				break
+			}
+		}
+		if !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // fit tries each candidate key in order and claims partition columns

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"strings"
 	"testing"
 
 	"rtic/internal/check"
@@ -156,5 +157,37 @@ func TestAnalyzeAtomMissingKeyGoesGlobal(t *testing.T) {
 	}
 	if cp := plan.Cons[0]; cp.Partitioned {
 		t.Fatalf("placement = %+v, want global", cp)
+	}
+}
+
+// A temporal subformula whose anchor can hold without a tuple carrying
+// the key would create its entries on every shard: `always[2,*] not
+// x = 2` is `not once[2,*] x = 2`, whose entry x=2 comes from the
+// comparison alone. Such constraints go global; anchors generated by a
+// keyed atom, directly or through a nested temporal, stay partitioned.
+func TestAnalyzeUnanchoredTemporalGlobal(t *testing.T) {
+	s := testSchema(t)
+	for _, tc := range []struct {
+		src         string
+		partitioned bool
+	}{
+		{"q(x) -> (p(x) since[1,*] (p(x) and always[2,*] not x = 2))", false},
+		{"q(x) -> not prev (x = 1)", false},
+		{"q(x) -> not once[0,3] (p(x) or x = 1)", false},
+		{"q(x) -> not once[0,3] (p(x) or r(x, 1))", true},
+		{"p(x) -> not once[0,4] (q(x) and once[0,2] p(x))", true},
+		{"q(x) -> not once[0,4] (x = 1 and prev p(x))", true},
+	} {
+		plan, err := Analyze(s, []*check.Constraint{parse(t, s, "c", tc.src)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp := plan.Cons[0]
+		if cp.Partitioned != tc.partitioned {
+			t.Errorf("%s: placement %+v, want partitioned=%v", tc.src, cp, tc.partitioned)
+		}
+		if !cp.Partitioned && !strings.Contains(cp.Reason, "not anchored") {
+			t.Errorf("%s: global for reason %q, want the anchor rule", tc.src, cp.Reason)
+		}
 	}
 }
