@@ -4,11 +4,10 @@
 // Usage:
 //
 //	rtic -spec constraints.rtic [-mode incremental|naive|active]
-//	     [-parallelism N] [-trace] [log...]
+//	     [-trace] [log...]
 //	rtic lint -spec constraints.rtic [-json] [-strict]
 //	     [-cost-threshold N] [log...]
-//	rtic trace -spec constraints.rtic [-out trace.json]
-//	     [-parallelism N] [-shards N]
+//	rtic trace -spec constraints.rtic [-out trace.json] [-shards N]
 //	     [-cpuprofile cpu.pprof] [-memprofile mem.pprof] [log...]
 //
 // The spec file declares relations and constraints (see package
@@ -64,14 +63,12 @@ func main() {
 	specPath := flag.String("spec", "", "spec file with relations and constraints (required)")
 	mode := flag.String("mode", "incremental",
 		"checking engine ("+strings.Join(rtic.ModeNames(), ", ")+")")
-	parallelism := flag.Int("parallelism", 0,
-		"commit-pipeline worker-pool width (1 = sequential, <=0 = GOMAXPROCS; incremental engine only)")
 	quiet := flag.Bool("quiet", false, "suppress per-violation output; print only the summary")
 	explain := flag.Bool("explain", false, "print evidence trails for violations (incremental mode only)")
 	trace := flag.Bool("trace", false, "log engine trace events (structured, stderr)")
 	flag.Parse()
 
-	if err := run4(*specPath, *mode, *parallelism, *quiet, *explain, *trace, flag.Args(), os.Stdout); err != nil {
+	if err := run3(*specPath, *mode, *quiet, *explain, *trace, flag.Args(), os.Stdout); err != nil {
 		if err == errViolations {
 			os.Exit(2)
 		}
@@ -83,20 +80,16 @@ func main() {
 var errViolations = fmt.Errorf("violations detected")
 
 // run keeps the original signature for tests; run2 adds -explain,
-// run3 adds -trace, run4 adds -parallelism.
+// run3 adds -trace.
 func run(specPath, mode string, quiet bool, logs []string, out io.Writer) error {
-	return run4(specPath, mode, 0, quiet, false, false, logs, out)
+	return run3(specPath, mode, quiet, false, false, logs, out)
 }
 
 func run2(specPath, mode string, quiet, explain bool, logs []string, out io.Writer) error {
-	return run4(specPath, mode, 0, quiet, explain, false, logs, out)
+	return run3(specPath, mode, quiet, explain, false, logs, out)
 }
 
 func run3(specPath, mode string, quiet, explain, trace bool, logs []string, out io.Writer) error {
-	return run4(specPath, mode, 0, quiet, explain, trace, logs, out)
-}
-
-func run4(specPath, mode string, parallelism int, quiet, explain, trace bool, logs []string, out io.Writer) error {
 	if specPath == "" {
 		return fmt.Errorf("-spec is required")
 	}
@@ -118,7 +111,7 @@ func run4(specPath, mode string, parallelism int, quiet, explain, trace bool, lo
 	var inc *core.Checker
 	switch m {
 	case rtic.Incremental:
-		inc = core.New(sp.Schema, core.WithParallelism(parallelism))
+		inc = core.New(sp.Schema)
 		eng = inc
 	case rtic.Naive:
 		eng = naive.New(sp.Schema)

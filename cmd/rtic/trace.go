@@ -27,8 +27,6 @@ import (
 func runTrace(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("rtic trace", flag.ContinueOnError)
 	specPath := fs.String("spec", "", "spec file with relations and constraints (required)")
-	parallelism := fs.Int("parallelism", 0,
-		"commit-pipeline worker-pool width (1 = sequential, <=0 = GOMAXPROCS)")
 	shards := fs.Int("shards", 1,
 		"hash-partition state across N shard engines (1 = unsharded)")
 	outPath := fs.String("out", "trace.json", "Chrome trace-event output file")
@@ -57,13 +55,13 @@ func runTrace(args []string, out io.Writer) error {
 	rec := obs.NewSpanRecorder(0)
 	var eng engine.Engine
 	if *shards > 1 {
-		r, err := shard.NewMode(sp.Schema, *shards, engine.Incremental, *parallelism)
+		r, err := shard.NewMode(sp.Schema, *shards, engine.Incremental)
 		if err != nil {
 			return err
 		}
 		eng = r
 	} else {
-		eng = core.New(sp.Schema, core.WithParallelism(*parallelism))
+		eng = core.New(sp.Schema)
 	}
 	eng.SetObserver(&obs.Observer{Spans: rec})
 	for _, cs := range sp.Constraints {

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	rticd -spec constraints.rtic [-listen 127.0.0.1:7411]
-//	      [-mode incremental] [-parallelism N] [-shards N]
+//	      [-mode incremental] [-shards N]
 //	      [-snapshot state.snap] [-restore]
 //	      [-wal state.wal] [-wal-sync always|batch]
 //	      [-checkpoint-interval 30s]
@@ -54,8 +54,8 @@
 // matrix.
 //
 // With -shards N the monitor hash-partitions its state across N shard
-// engines behind a router (see docs/ARCHITECTURE.md): per-shard commits
-// run concurrently and results stay exact. Sharded daemons journal to
+// engines behind a router (see docs/ARCHITECTURE.md): the shards commit
+// in order under the commit lock and results stay exact. Sharded daemons journal to
 // one WAL per shard at <path>.0 .. <path>.N-1 and recover the journals'
 // common prefix on startup; -snapshot and -restore are rejected (the
 // sharded engine does not checkpoint).
@@ -122,7 +122,6 @@ type options struct {
 	specPath     string
 	listen       string
 	mode         string
-	parallelism  int
 	shards       int
 	snapPath     string
 	restore      bool
@@ -149,10 +148,8 @@ func main() {
 	flag.StringVar(&opts.listen, "listen", "127.0.0.1:7411", "TCP listen address")
 	flag.StringVar(&opts.mode, "mode", "incremental",
 		"checking engine ("+strings.Join(rtic.ModeNames(), ", ")+")")
-	flag.IntVar(&opts.parallelism, "parallelism", 0,
-		"commit-pipeline worker-pool width (1 = sequential, <=0 = GOMAXPROCS; incremental engine only)")
 	flag.IntVar(&opts.shards, "shards", 1,
-		"hash-partition state across N shard engines checked concurrently (1 = unsharded; journals to one -wal file per shard)")
+		"hash-partition state across N shard engines (1 = unsharded; journals to one -wal file per shard)")
 	flag.StringVar(&opts.snapPath, "snapshot", "", "checkpoint file, written atomically on shutdown (and periodically with -checkpoint-interval)")
 	flag.BoolVar(&opts.restore, "restore", false, "start from the -snapshot checkpoint")
 	flag.StringVar(&opts.walPath, "wal", "", "write-ahead log journaling every commit; startup recovers checkpoint + WAL tail automatically")
@@ -363,8 +360,7 @@ func start(opts options) (*daemon, error) {
 		if err != nil {
 			return nil, err
 		}
-		m, err = monitor.RestoreObserved(sp.Schema, sf, o,
-			monitor.WithParallelism(opts.parallelism))
+		m, err = monitor.RestoreObserved(sp.Schema, sf, o)
 		sf.Close()
 		if err != nil {
 			return nil, err
@@ -375,8 +371,7 @@ func start(opts options) (*daemon, error) {
 		return nil, err
 	default:
 		m, err = monitor.New(sp.Schema, sp.Constraints,
-			monitor.WithMode(mode), monitor.WithParallelism(opts.parallelism),
-			monitor.WithShards(opts.shards))
+			monitor.WithMode(mode), monitor.WithShards(opts.shards))
 		if err != nil {
 			return nil, err
 		}

@@ -99,11 +99,6 @@ func (c *Checker) build() error {
 // reports the tuples held in engine-managed relations.
 func (c *Checker) SetObserver(o *obs.Observer) {
 	c.obs = o
-	if m, _ := o.Parts(); m != nil {
-		// Rule programs run sequentially; publish the pool width so
-		// dashboards read a truthful 1 rather than a stale value.
-		m.ParallelWorkers.Set(1)
-	}
 }
 
 // StepBatch commits a sequence of transactions one at a time; the rule

@@ -137,8 +137,8 @@ func replay(h workload.History, step stepFn) (replayResult, error) {
 	return res, nil
 }
 
-func newIncremental(h workload.History, opts ...core.Option) (*core.Checker, error) {
-	c := core.New(h.Schema, opts...)
+func newIncremental(h workload.History) (*core.Checker, error) {
+	c := core.New(h.Schema)
 	for _, cs := range h.Constraints {
 		con, err := check.Parse(cs.Name, cs.Source, h.Schema)
 		if err != nil {
@@ -189,8 +189,8 @@ func repeats(quick bool) int {
 	return 3
 }
 
-func runIncremental(h workload.History, opts ...core.Option) (replayResult, core.Stats, error) {
-	c, err := newIncremental(h, opts...)
+func runIncremental(h workload.History) (replayResult, core.Stats, error) {
+	c, err := newIncremental(h)
 	if err != nil {
 		return replayResult{}, core.Stats{}, err
 	}
@@ -203,7 +203,7 @@ func runIncremental(h workload.History, opts ...core.Option) (replayResult, core
 // newSharded builds a shard router over h's schema (incremental
 // engines inside, each sequential) with h's constraints installed.
 func newSharded(h workload.History, shards int) (*shard.Router, error) {
-	r, err := shard.NewMode(h.Schema, shards, engine.Incremental, 1)
+	r, err := shard.NewMode(h.Schema, shards, engine.Incremental)
 	if err != nil {
 		return nil, err
 	}
@@ -248,11 +248,11 @@ func bestSharded(h workload.History, n, shards int) (replayResult, error) {
 
 // bestIncremental replays n times on fresh checkers and keeps the
 // fastest run (stats are identical across runs).
-func bestIncremental(h workload.History, n int, opts ...core.Option) (replayResult, core.Stats, error) {
+func bestIncremental(h workload.History, n int) (replayResult, core.Stats, error) {
 	var best replayResult
 	var stats core.Stats
 	for i := 0; i < n; i++ {
-		res, st, err := runIncremental(h, opts...)
+		res, st, err := runIncremental(h)
 		if err != nil {
 			return res, st, err
 		}

@@ -2,9 +2,7 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 
-	"rtic/internal/core"
 	"rtic/internal/workload"
 )
 
@@ -334,7 +332,6 @@ func Experiments() []struct {
 		{"Table 6", Table6Ablation},
 		{"Figure 4", Figure4Storage},
 		{"Table 7", Table7SinceChain},
-		{"Table 8", Table8Parallelism},
 		{"Table 9", Table9ShardScaling},
 		{"Table 10", Table10CDCFreshness},
 	}
@@ -373,15 +370,15 @@ func Table9ShardScaling(quick bool) (Table, error) {
 		n = 150
 	}
 	part := workload.Uniform(workload.UniformConfig{Steps: n, Seed: 53, OpsPerTx: 4, Domain: 16})
-	part.Constraints = parallelismConstraints(32)
+	part.Constraints = denseConstraints(32)
 	cross := workload.Uniform(workload.UniformConfig{Steps: n, Seed: 59, OpsPerTx: 4, Domain: 16})
 	cross.Constraints = crossShardConstraints(32)
 
-	basePart, _, err := bestIncremental(part, repeats(quick), core.WithParallelism(1))
+	basePart, _, err := bestIncremental(part, repeats(quick))
 	if err != nil {
 		return t, err
 	}
-	baseCross, _, err := bestIncremental(cross, repeats(quick), core.WithParallelism(1))
+	baseCross, _, err := bestIncremental(cross, repeats(quick))
 	if err != nil {
 		return t, err
 	}
@@ -417,12 +414,11 @@ func Table9ShardScaling(quick bool) (Table, error) {
 	return t, nil
 }
 
-// parallelismConstraints builds a constraint-heavy spec: count distinct
+// denseConstraints builds a constraint-heavy spec: count distinct
 // once-window denials over the uniform workload's relations. Distinct
 // windows give every constraint its own auxiliary node, so both the
-// node-update and the constraint-check phase have count-wide levels for
-// the worker pool to spread.
-func parallelismConstraints(count int) []workload.ConstraintSpec {
+// node-update and the constraint-check phase are count wide.
+func denseConstraints(count int) []workload.ConstraintSpec {
 	out := make([]workload.ConstraintSpec, 0, count)
 	for i := 0; i < count; i++ {
 		out = append(out, workload.ConstraintSpec{
@@ -431,50 +427,6 @@ func parallelismConstraints(count int) []workload.ConstraintSpec {
 		})
 	}
 	return out
-}
-
-// Table8Parallelism — scaling the commit pipeline's worker pool on a
-// constraint-heavy workload. Expected shape: throughput improves with
-// the pool width up to the core count; violations are identical at
-// every width (the equivalence the core test suite also proves).
-func Table8Parallelism(quick bool) (Table, error) {
-	t := Table{
-		ID:      "Table 8",
-		Title:   "commit-pipeline worker pool vs per-transaction cost (32 constraints)",
-		Columns: []string{"workers", "ns/tx", "speedup vs sequential", "violations"},
-		Notes:   "32 distinct once-window constraints; all widths report identical violations",
-	}
-	n := 400
-	if quick {
-		n = 150
-	}
-	h := workload.Uniform(workload.UniformConfig{Steps: n, Seed: 53, OpsPerTx: 4, Domain: 16})
-	h.Constraints = parallelismConstraints(32)
-
-	widths := []int{1, 2, 4}
-	if p := runtime.GOMAXPROCS(0); p > 4 {
-		widths = append(widths, p)
-	}
-	var seq float64
-	var seqViolations int
-	for i, w := range widths {
-		res, _, err := bestIncremental(h, repeats(quick), core.WithParallelism(w))
-		if err != nil {
-			return t, err
-		}
-		if i == 0 {
-			seq, seqViolations = res.nsPerStepAll, res.violations
-		} else if res.violations != seqViolations {
-			return t, fmt.Errorf("bench: width %d reported %d violations, sequential %d", w, res.violations, seqViolations)
-		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", w),
-			ns(res.nsPerStepAll),
-			ratio(seq, res.nsPerStepAll),
-			fmt.Sprintf("%d", res.violations),
-		})
-	}
-	return t, nil
 }
 
 // All runs every experiment in report order.

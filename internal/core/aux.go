@@ -269,8 +269,7 @@ type sinceNode struct {
 
 	// The maintained answer: ans holds exactly the rows satisfied at
 	// lastT (valid once primed), added/removed the rows that entered and
-	// left it in the last commit. envBuf and keyBuf are single-goroutine
-	// scratch (one goroutine updates a node per commit).
+	// left it in the last commit. envBuf and keyBuf are scratch.
 	ans     *fol.Bindings
 	lastT   uint64
 	primed  bool

@@ -18,16 +18,15 @@
 //	check   — evaluate every constraint's denial in the new state
 //	carry   — phase B: compute then commit next-state carry-over
 //
-// The update, check and carry phases are data-parallel: nodes within
-// one dependency level (see schedule.go) and constraints against one
-// state are independent, so a checker built WithParallelism(n>1) runs
-// them on a bounded worker pool. n=1 runs the phases inline and is
-// bit-for-bit the sequential algorithm.
+// Every phase runs on the goroutine that calls Step: the update phase
+// walks the dependency levels (see schedule.go) in order, the check
+// phase the constraints in installation order. A commit's work units
+// cost a few microseconds each, less than handing them to another
+// goroutine would.
 package core
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"rtic/internal/check"
@@ -39,7 +38,6 @@ import (
 	"rtic/internal/schema"
 	"rtic/internal/storage"
 	"rtic/internal/tuple"
-	"rtic/internal/value"
 )
 
 // Checker is the incremental bounded-history checker.
@@ -65,10 +63,6 @@ type Checker struct {
 	// k-1. Built incrementally by register/schedule.
 	levels  [][]auxNode
 	levelOf map[auxNode]int
-
-	// par is the worker-pool width of the commit pipeline (1 = run the
-	// phases inline, sequentially).
-	par int
 
 	// mode selects the check-phase evaluation strategy: EvalPlanned (the
 	// default) executes compiled query plans delta-driven, EvalTreeWalk
@@ -98,12 +92,9 @@ type Checker struct {
 	// commit path never does a labelled lookup.
 	conMetrics []conMetrics
 	// phaseHist caches the per-phase commit histograms
-	// (rtic_step_phase_seconds) and poolWait/poolUtil the worker-pool
-	// attribution handles, so phase accounting never does a labelled
-	// lookup either. All nil when no metrics are attached.
+	// (rtic_step_phase_seconds), so phase accounting never does a
+	// labelled lookup either. All nil when no metrics are attached.
 	phaseHist [numPhases]*obs.Histogram
-	poolWait  *obs.Histogram
-	poolUtil  *obs.FloatGauge
 }
 
 // Pipeline phase indices and their metric label values.
@@ -164,19 +155,9 @@ type conState struct {
 	// can change with the active domain: never skipped.
 	domDep bool
 	// lastB is the denial's answer at the previous commit (planned mode
-	// only); nil until the first check. keyBuf is scratch for probing it
-	// (one goroutine checks a constraint per commit).
+	// only); nil until the first check. keyBuf is scratch for probing it.
 	lastB  *fol.Bindings
 	keyBuf []byte
-}
-
-// WithParallelism sets the worker-pool width of the commit pipeline.
-// n=1 runs the pipeline inline (the exact sequential algorithm); n>1
-// updates independent auxiliary nodes and checks constraints
-// concurrently on at most n goroutines; n<=0 selects GOMAXPROCS. The
-// default is GOMAXPROCS.
-func WithParallelism(n int) Option {
-	return func(c *Checker) { c.par = resolveParallelism(n) }
 }
 
 // New returns an empty checker over s. Install constraints with
@@ -189,7 +170,6 @@ func New(s *schema.Schema, opts ...Option) *Checker {
 		byNode:   make(map[mtl.Formula]auxNode),
 		byShape:  make(map[string]auxNode),
 		levelOf:  make(map[auxNode]int),
-		par:      resolveParallelism(0),
 	}
 	for _, opt := range opts {
 		opt(c)
@@ -257,14 +237,10 @@ func (c *Checker) SetObserver(o *obs.Observer) {
 	c.conMetrics = nil
 	c.syncConMetrics()
 	c.phaseHist = [numPhases]*obs.Histogram{}
-	c.poolWait, c.poolUtil = nil, nil
 	if m, _ := o.Parts(); m != nil {
-		m.ParallelWorkers.Set(int64(c.par))
 		for i, name := range phaseNames {
 			c.phaseHist[i] = m.StepPhaseSeconds.With(name)
 		}
-		c.poolWait = m.PoolQueueWaitSeconds
-		c.poolUtil = m.PoolUtilization
 	}
 }
 
@@ -443,77 +419,6 @@ func (ps phaseScope) done(ops int, err error) {
 	}
 }
 
-// attributePool digests one parallel batch's task timings into the
-// worker-pool attribution: queue-wait observations, the utilization
-// gauge, and per-worker child spans under the phase span (one lane per
-// worker, carrying busy time, task count and idle wait).
-func (si *stepInstr) attributePool(parent *obs.Span, batchStart time.Time, label string, timings []taskTiming) {
-	if si == nil || len(timings) == 0 {
-		return
-	}
-	if si.c.poolWait != nil {
-		for _, tt := range timings {
-			si.c.poolWait.Observe(tt.start.Seconds())
-		}
-	}
-	type workerAgg struct {
-		busy        time.Duration
-		tasks       int
-		first, last time.Duration // active window offsets from batch start
-	}
-	agg := map[int]*workerAgg{}
-	var wall time.Duration
-	for _, tt := range timings {
-		end := tt.start + tt.dur
-		if end > wall {
-			wall = end
-		}
-		a := agg[tt.worker]
-		if a == nil {
-			a = &workerAgg{first: tt.start}
-			agg[tt.worker] = a
-		}
-		a.busy += tt.dur
-		a.tasks++
-		if tt.start < a.first {
-			a.first = tt.start
-		}
-		if end > a.last {
-			a.last = end
-		}
-	}
-	if si.c.poolUtil != nil && wall > 0 {
-		workers := si.c.par
-		if workers > len(timings) {
-			workers = len(timings)
-		}
-		var busy time.Duration
-		for _, a := range agg {
-			busy += a.busy
-		}
-		si.c.poolUtil.Set(float64(busy) / (float64(workers) * float64(wall)))
-	}
-	if parent == nil {
-		return
-	}
-	for w := 0; w < si.c.par; w++ {
-		a := agg[w]
-		if a == nil {
-			continue
-		}
-		parent.Children = append(parent.Children, &obs.Span{
-			Name:   obs.SpanWorker,
-			Detail: fmt.Sprintf("%sw%d", label, w),
-			Time:   parent.Time,
-			Track:  w + 1,
-			Start:  batchStart.Add(a.first),
-			Dur:    a.last - a.first,
-			Ops:    a.tasks,
-			Wait:   a.last - a.first - a.busy,
-		})
-	}
-}
-
 // Step commits a transaction at time t, updates every auxiliary node,
 // and checks every constraint in the resulting state. With an observer
 // attached it also records commit/phase/constraint timing, violation
@@ -603,28 +508,14 @@ func (c *Checker) StepBatch(steps []engine.Step) ([][]check.Violation, error) {
 	return out, nil
 }
 
-// domainCache computes the state's active domain once per commit and
-// shares it across the pipeline's per-worker evaluators.
-type domainCache struct {
-	st   *storage.State
-	once sync.Once
-	dom  []value.Value
-}
-
-func (d *domainCache) get() []value.Value {
-	d.once.Do(func() { d.dom = d.st.ActiveDomain() })
-	return d.dom
-}
-
-// eval returns pool worker w's evaluator for this commit. Evaluators
-// cache the active domain and scratch buffers and so are per-goroutine:
-// each worker builds one on first use and reuses it for every task of
-// every phase it runs, all sharing one domain computation.
-func (sc *stepCtx) eval(w int) *fol.Evaluator {
-	if sc.evs[w] == nil {
-		sc.evs[w] = fol.NewEvaluatorShared(sc.c.cur, sc.orc, sc.dom.get)
+// eval returns this commit's evaluator, built on first use and reused
+// by every node update and constraint check of the commit, so the
+// active domain is computed at most once per commit.
+func (sc *stepCtx) eval() *fol.Evaluator {
+	if sc.ev == nil {
+		sc.ev = fol.NewEvaluator(sc.c.cur, sc.orc)
 	}
-	return sc.evs[w]
+	return sc.ev
 }
 
 // step runs the four-phase commit pipeline for one transaction,
@@ -636,8 +527,6 @@ func (c *Checker) step(t uint64, tx *storage.Transaction, si *stepInstr) ([]chec
 	sc := &stepCtx{
 		c: c, t: t, planned: c.mode == EvalPlanned,
 		orc: &oracle{c: c, now: t},
-		dom: domainCache{st: c.cur},
-		evs: make([]*fol.Evaluator, c.par),
 	}
 	ps := si.phase(phaseApply, obs.SpanApply)
 	err := c.applyPhase(sc, tx)
@@ -647,19 +536,19 @@ func (c *Checker) step(t uint64, tx *storage.Transaction, si *stepInstr) ([]chec
 	}
 
 	ps = si.phase(phaseUpdate, obs.SpanUpdate)
-	err = c.updatePhase(sc, t, si, ps.span)
+	err = c.updatePhase(sc, t, si)
 	ps.done(len(c.nodes), err)
 	if err != nil {
 		return nil, err
 	}
 	ps = si.phase(phaseCheck, obs.SpanCheck)
-	out, err := c.checkPhase(sc, t, si, ps.span)
+	out, err := c.checkPhase(sc, t, si)
 	ps.done(len(c.constraints), err)
 	if err != nil {
 		return nil, err
 	}
 	ps = si.phase(phaseCarry, obs.SpanCarry)
-	err = c.carryPhase(sc, t, si, ps.span)
+	err = c.carryPhase(sc, t, si)
 	ps.done(len(c.carry), err)
 	if err != nil {
 		return nil, err
@@ -685,17 +574,11 @@ func (c *Checker) applyPhase(sc *stepCtx, tx *storage.Transaction) error {
 	return c.cur.Apply(tx)
 }
 
-// updatePhase brings every auxiliary node's answer up to the new state:
-// levels run in order (children before parents), nodes within a level
-// concurrently. span (the update phase span, may be nil) collects
-// per-worker attribution children, one batch per level.
-func (c *Checker) updatePhase(sc *stepCtx, t uint64, si *stepInstr, span *obs.Span) error {
-	for lvl, level := range c.levels {
-		label := ""
-		if span != nil {
-			label = fmt.Sprintf("L%d.", lvl)
-		}
-		if err := c.runNodePhase(sc, level, t, si, span, label, true, func(n auxNode, ev *fol.Evaluator) error {
+// updatePhase brings every auxiliary node's answer up to the new state,
+// level by level (children before parents).
+func (c *Checker) updatePhase(sc *stepCtx, t uint64, si *stepInstr) error {
+	for _, level := range c.levels {
+		if err := c.runNodePhase(sc, level, t, si, true, func(n auxNode, ev *fol.Evaluator) error {
 			return n.phaseA(sc, ev, t)
 		}); err != nil {
 			return err
@@ -707,14 +590,12 @@ func (c *Checker) updatePhase(sc *stepCtx, t uint64, si *stepInstr, span *obs.Sp
 // carryPhase computes the carry-over state for the next transition
 // (all computations first, so nodes keep answering for this state),
 // then commits it. Only prev nodes carry anything, so the phase runs
-// over c.carry alone. Computations only read this-state answers and
-// write the node's own pending slot, so they run concurrently; commits
-// are a cheap sequential sweep.
-func (c *Checker) carryPhase(sc *stepCtx, t uint64, si *stepInstr, span *obs.Span) error {
+// over c.carry alone.
+func (c *Checker) carryPhase(sc *stepCtx, t uint64, si *stepInstr) error {
 	if len(c.carry) == 0 {
 		return nil
 	}
-	if err := c.runNodePhase(sc, c.carry, t, si, span, "", false, func(n auxNode, ev *fol.Evaluator) error {
+	if err := c.runNodePhase(sc, c.carry, t, si, false, func(n auxNode, ev *fol.Evaluator) error {
 		return n.phaseBCompute(sc, ev, t)
 	}); err != nil {
 		return err
@@ -725,69 +606,33 @@ func (c *Checker) carryPhase(sc *stepCtx, t uint64, si *stepInstr, span *obs.Spa
 	return nil
 }
 
-// runNodePhase drives one node phase over nodes, inline when the
-// pipeline is sequential and on the worker pool otherwise. Parallel
-// runs record per-node durations and errors in per-index slots and
-// emit trace events afterwards in schedule order, so output and the
-// returned error (the first node's, in schedule order) are
-// deterministic regardless of interleaving. Per-node trace events fire
-// only when traceNodes is set AND the tracer wants OpNodeUpdate — the
-// Enabled gate keeps formula rendering off the hot path when the sink
-// would discard DEBUG events anyway. span/label feed the worker-pool
-// attribution of parallel batches.
-func (c *Checker) runNodePhase(sc *stepCtx, nodes []auxNode, t uint64, si *stepInstr, span *obs.Span, label string, traceNodes bool, f func(auxNode, *fol.Evaluator) error) error {
-	n := len(nodes)
-	if n == 0 {
+// runNodePhase drives one node phase over nodes in schedule order,
+// stopping at the first error. Per-node trace events fire only when
+// traceNodes is set AND the tracer wants OpNodeUpdate — the Enabled gate
+// keeps formula rendering off the hot path when the sink would discard
+// DEBUG events anyway.
+func (c *Checker) runNodePhase(sc *stepCtx, nodes []auxNode, t uint64, si *stepInstr, traceNodes bool, f func(auxNode, *fol.Evaluator) error) error {
+	if len(nodes) == 0 {
 		return nil
 	}
 	tr := si.tracer()
 	if !traceNodes || !obs.TraceEnabled(tr, obs.OpNodeUpdate) {
 		tr = nil
 	}
-	if c.par <= 1 || n == 1 {
-		ev := sc.eval(0)
-		for _, node := range nodes {
-			if tr == nil {
-				if err := f(node, ev); err != nil {
-					return err
-				}
-				continue
-			}
-			n0 := time.Now()
-			err := f(node, ev)
-			tr.Trace(obs.TraceEvent{
-				Op: obs.OpNodeUpdate, Detail: node.formula().String(),
-				Time: t, Duration: time.Since(n0), Err: err,
-			})
-			if err != nil {
+	ev := sc.eval()
+	for _, node := range nodes {
+		if tr == nil {
+			if err := f(node, ev); err != nil {
 				return err
 			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	durs := make([]time.Duration, n)
-	batchStart := time.Now()
-	timings := c.runTasksTimed(n, si != nil, func(w, i int) {
-		ev := sc.eval(w)
-		if tr == nil {
-			errs[i] = f(nodes[i], ev)
-			return
+			continue
 		}
 		n0 := time.Now()
-		errs[i] = f(nodes[i], ev)
-		durs[i] = time.Since(n0)
-	})
-	si.attributePool(span, batchStart, label, timings)
-	for i, node := range nodes {
-		if tr != nil {
-			tr.Trace(obs.TraceEvent{
-				Op: obs.OpNodeUpdate, Detail: node.formula().String(),
-				Time: t, Duration: durs[i], Err: errs[i],
-			})
-		}
-	}
-	for _, err := range errs {
+		err := f(node, ev)
+		tr.Trace(obs.TraceEvent{
+			Op: obs.OpNodeUpdate, Detail: node.formula().String(),
+			Time: t, Duration: time.Since(n0), Err: err,
+		})
 		if err != nil {
 			return err
 		}
@@ -795,14 +640,12 @@ func (c *Checker) runNodePhase(sc *stepCtx, nodes []auxNode, t uint64, si *stepI
 	return nil
 }
 
-// checkPhase evaluates every constraint's denial against the new state,
-// concurrently when the pipeline is parallel, then emits the violations
-// of all answers into one presized slice in installation order, so
-// results are identical to the sequential pipeline's. Per-constraint
-// metrics and trace events are emitted in that same order. Per-check
-// trace events are gated on the tracer wanting OpConstraintCheck (the
-// DEBUG-frequency op); metrics are recorded regardless.
-func (c *Checker) checkPhase(sc *stepCtx, t uint64, si *stepInstr, span *obs.Span) ([]check.Violation, error) {
+// checkPhase evaluates every constraint's denial against the new state
+// in installation order, then emits the violations of all answers into
+// one presized slice in that same order. Per-check trace events are
+// gated on the tracer wanting OpConstraintCheck (the DEBUG-frequency
+// op); metrics are recorded regardless.
+func (c *Checker) checkPhase(sc *stepCtx, t uint64, si *stepInstr) ([]check.Violation, error) {
 	n := len(c.constraints)
 	if n == 0 {
 		return nil, nil
@@ -820,60 +663,31 @@ func (c *Checker) checkPhase(sc *stepCtx, t uint64, si *stepInstr, span *obs.Spa
 		tr = nil
 	}
 	instrumented := m != nil || tr != nil
-	observe := func(i int, d time.Duration, err error) {
-		if m != nil && i < len(c.conMetrics) {
-			c.conMetrics[i].seconds.Observe(d.Seconds())
-			if err == nil {
-				c.conMetrics[i].violations.Add(uint64(answers[i].Len()))
-			}
-		}
-		if tr != nil {
-			tr.Trace(obs.TraceEvent{
-				Op: obs.OpConstraintCheck, Detail: c.constraints[i].Name,
-				Time: t, Duration: d, Err: err,
-			})
-		}
-	}
-	if c.par <= 1 || n == 1 {
-		ev := sc.eval(0)
-		for i := range c.constraints {
-			var c0 time.Time
-			if instrumented {
-				c0 = time.Now()
-			}
-			var err error
-			answers[i], err = c.checkCon(ev, sc, i)
-			if instrumented {
-				observe(i, time.Since(c0), err)
-			}
-			if err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		errs := make([]error, n)
-		durs := make([]time.Duration, n)
-		batchStart := time.Now()
-		timings := c.runTasksTimed(n, si != nil, func(w, i int) {
-			var c0 time.Time
-			if instrumented {
-				c0 = time.Now()
-			}
-			answers[i], errs[i] = c.checkCon(sc.eval(w), sc, i)
-			if instrumented {
-				durs[i] = time.Since(c0)
-			}
-		})
-		si.attributePool(span, batchStart, "", timings)
+	ev := sc.eval()
+	for i := range c.constraints {
+		var c0 time.Time
 		if instrumented {
-			for i := range c.constraints {
-				observe(i, durs[i], errs[i])
+			c0 = time.Now()
+		}
+		var err error
+		answers[i], err = c.checkCon(ev, sc, i)
+		if instrumented {
+			d := time.Since(c0)
+			if m != nil && i < len(c.conMetrics) {
+				c.conMetrics[i].seconds.Observe(d.Seconds())
+				if err == nil {
+					c.conMetrics[i].violations.Add(uint64(answers[i].Len()))
+				}
+			}
+			if tr != nil {
+				tr.Trace(obs.TraceEvent{
+					Op: obs.OpConstraintCheck, Detail: c.constraints[i].Name,
+					Time: t, Duration: d, Err: err,
+				})
 			}
 		}
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
+		if err != nil {
+			return nil, err
 		}
 	}
 	return c.emit(t, answers)
@@ -1198,7 +1012,7 @@ func (s servedOracle) Test(f mtl.Formula, env fol.Env) (bool, error) {
 
 // oracle resolves temporal nodes from the auxiliary state at the
 // current evaluation time. Its lookups are read-only over maps frozen
-// at AddConstraint time, so one oracle may serve concurrent evaluators.
+// at AddConstraint time.
 type oracle struct {
 	c   *Checker
 	now uint64

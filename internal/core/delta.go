@@ -40,8 +40,7 @@ type stepCtx struct {
 	planned bool
 	delta   map[string]*relDelta
 	orc     *oracle
-	dom     domainCache
-	evs     []*fol.Evaluator // per pool worker; see eval
+	ev      *fol.Evaluator // see eval
 }
 
 // relsChanged reports whether the commit touched any of rels (net).
@@ -80,8 +79,8 @@ func anyDirty(nodes []auxNode) bool {
 //   - seed: any new answer row needs a literal that became true, so
 //     eachSeeded runs the plan from the same-sign changes only.
 //
-// One goroutine maintains a given answer per commit, so the per-commit
-// source deltas live in the seededPlan itself (cur, filled by load).
+// The per-commit source deltas live in the seededPlan itself (cur,
+// filled by load).
 type seededPlan struct {
 	plan    *plan.Plan
 	sources []plan.Source

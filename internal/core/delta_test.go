@@ -125,12 +125,12 @@ func runDeltaShape(t *testing.T, src string, fullScan bool) pathCounts {
 	return pc
 }
 
-// TestDenseFeedTakesDeltaPaths pins that the Table 8 feed runs on the
+// TestDenseFeedTakesDeltaPaths pins that the dense feed runs on the
 // delta-proportional paths: after the first commit every seeded
 // constraint retests only pinned rows and no once node re-enumerates ψ.
 func TestDenseFeedTakesDeltaPaths(t *testing.T) {
 	h := denseHistory(120)
-	c := newFromHistory(t, h, WithParallelism(1))
+	c := newFromHistory(t, h)
 	var pc pathCounts
 	for i, s := range h.Steps {
 		if _, err := c.Step(s.Time, s.Tx); err != nil {

@@ -177,7 +177,7 @@ func encodeNode(node auxNode) (snapNode, error) {
 
 // LoadSnapshot rebuilds a checker over s from a snapshot written by
 // SaveSnapshot. The schema must define every relation the snapshot
-// references. Options (e.g. WithParallelism) configure the restored
+// references. Options (e.g. WithEvaluation) configure the restored
 // checker; the snapshot format does not record them.
 func LoadSnapshot(s *schema.Schema, r io.Reader, opts ...Option) (*Checker, error) {
 	return LoadSnapshotObserved(s, r, nil, opts...)

@@ -1,21 +1,13 @@
 package core
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-	"time"
-
-	"rtic/internal/mtl"
-)
+import "rtic/internal/mtl"
 
 // The commit pipeline's schedule: auxiliary nodes are grouped into
 // dependency levels at AddConstraint time — a node's level is one more
 // than the deepest temporal subformula nested inside it, so every level
-// only reads answers of strictly lower levels. Nodes within one level
-// share no state and are updated concurrently; levels run in order with
-// a barrier between them. The flat bottom-up walk the sequential
-// pipeline used is exactly the concatenation of the levels.
+// only reads answers of strictly lower levels. The update phase walks
+// the levels in order; the levels also feed Schedule, ScheduleCosts and
+// the linter's cost pass.
 
 // directTemporal appends the outermost temporal subformulas of f to
 // out: recursion descends through the first-order skeleton and stops at
@@ -180,106 +172,4 @@ func satMul(a, b uint64) uint64 {
 		return ^uint64(0)
 	}
 	return p
-}
-
-// Parallelism reports the worker-pool width the pipeline runs with
-// (1 = sequential).
-func (c *Checker) Parallelism() int { return c.par }
-
-// resolveParallelism maps the WithParallelism argument to a pool width:
-// n >= 1 is taken literally, anything else means GOMAXPROCS.
-func resolveParallelism(n int) int {
-	if n >= 1 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// taskTiming attributes one pool task: which worker ran it, how long
-// it waited after the batch opened (queue wait), and how long it ran.
-type taskTiming struct {
-	worker int
-	start  time.Duration // offset from batch start when the task began
-	dur    time.Duration
-}
-
-// runTasksTimed is runTasks plus per-task attribution: when timed is
-// set it returns one taskTiming per index, feeding the worker-pool
-// queue-wait/utilization metrics and the per-worker spans. With timed
-// off it degenerates to runTasks and returns nil, so the
-// uninstrumented path allocates nothing.
-func (c *Checker) runTasksTimed(n int, timed bool, f func(w, i int)) []taskTiming {
-	if !timed {
-		c.runTasks(n, f)
-		return nil
-	}
-	timings := make([]taskTiming, n)
-	workers := c.par
-	if workers > n {
-		workers = n
-	}
-	t0 := time.Now()
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			s := time.Since(t0)
-			f(0, i)
-			timings[i] = taskTiming{worker: 0, start: s, dur: time.Since(t0) - s}
-		}
-		return timings
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				s := time.Since(t0)
-				f(w, i)
-				timings[i] = taskTiming{worker: w, start: s, dur: time.Since(t0) - s}
-			}
-		}(w)
-	}
-	wg.Wait()
-	return timings
-}
-
-// runTasks evaluates f(w, i) for i in 0..n-1 on a pool bounded by the
-// checker's parallelism, w being the index of the worker running task
-// i (w < parallelism), so callers can keep per-worker state such as an
-// evaluator. With one worker (or one task) it degenerates to the plain
-// sequential loop. f must confine its writes to per-index (or
-// per-worker) slots; error collection is the caller's business for
-// exactly that reason.
-func (c *Checker) runTasks(n int, f func(w, i int)) {
-	workers := c.par
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(0, i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				f(w, i)
-			}
-		}(w)
-	}
-	wg.Wait()
 }

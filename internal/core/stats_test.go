@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// denseChecker replays the Table 8 feed (see denseHistory).
+// denseChecker replays the dense feed (see denseHistory).
 func denseChecker(t *testing.T, steps int) *Checker {
 	h := denseHistory(steps)
 	c := newFromHistory(t, h)

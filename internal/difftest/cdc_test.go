@@ -52,11 +52,11 @@ func cdcCorpus() []struct {
 }
 
 // TestDifferentialCDC replays the CDC freshness corpus (internal/
-// cdcgen) through every engine leg: naive, core at parallelism 1 and
-// 4, tree-walk core, active rules, and the shard router at fan-outs
-// 1, 2 and 8 — the realistic-traffic counterpart to the formgen
-// pairs. All three freshness constraints partition on the sensor
-// variable, so the sharded legs genuinely spread this workload.
+// cdcgen) through every engine leg: naive, core, tree-walk core,
+// active rules, and the shard router at fan-outs 1, 2 and 8 — the
+// realistic-traffic counterpart to the formgen pairs. All three
+// freshness constraints partition on the sensor variable, so the
+// sharded legs genuinely spread this workload.
 func TestDifferentialCDC(t *testing.T) {
 	for _, tc := range cdcCorpus() {
 		t.Run(tc.name, func(t *testing.T) {

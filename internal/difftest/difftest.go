@@ -35,20 +35,13 @@ import (
 // hide).
 var DefaultShardCounts = []int{1, 2, 8}
 
-// DefaultParallelism are the incremental pipeline widths compared.
-var DefaultParallelism = []int{1, 4}
-
 // Config tunes which engine variants a Run compares. Zero values mean
 // the defaults above.
 type Config struct {
-	Parallelism []int // incremental pipeline widths
 	ShardCounts []int // router fan-outs (incremental engine inside)
 }
 
 func (c Config) withDefaults() Config {
-	if len(c.Parallelism) == 0 {
-		c.Parallelism = DefaultParallelism
-	}
 	if len(c.ShardCounts) == 0 {
 		c.ShardCounts = DefaultShardCounts
 	}
@@ -79,14 +72,12 @@ func build(s *schema.Schema, specs []workload.ConstraintSpec, cfg Config) ([]var
 	if err := add("naive", naive.New(s), nil); err != nil {
 		return nil, err
 	}
-	for _, par := range cfg.Parallelism {
-		if err := add(fmt.Sprintf("core/par=%d", par), core.New(s, core.WithParallelism(par)), nil); err != nil {
-			return nil, err
-		}
+	if err := add("core", core.New(s), nil); err != nil {
+		return nil, err
 	}
 	// The legacy full-evaluation mode: every delta-driven shortcut of
 	// the planned check path disabled. Divergence between this leg and
-	// core/par=* localizes a bug to plan compilation or the skip/seed
+	// core localizes a bug to plan compilation or the skip/seed
 	// decisions rather than the auxiliary encoding.
 	if err := add("core/treewalk", core.New(s, core.WithEvaluation(core.EvalTreeWalk)), nil); err != nil {
 		return nil, err
@@ -95,7 +86,7 @@ func build(s *schema.Schema, specs []workload.ConstraintSpec, cfg Config) ([]var
 		return nil, err
 	}
 	for _, n := range cfg.ShardCounts {
-		rtr, err := shard.NewMode(s, n, engine.Incremental, 1)
+		rtr, err := shard.NewMode(s, n, engine.Incremental)
 		if err := add(fmt.Sprintf("core/shards=%d", n), rtr, err); err != nil {
 			return nil, err
 		}
@@ -103,11 +94,11 @@ func build(s *schema.Schema, specs []workload.ConstraintSpec, cfg Config) ([]var
 	}
 	// One sharded leg each for the baseline engines: the router must be
 	// exact no matter what runs inside it.
-	rtr, err := shard.NewMode(s, 2, engine.Naive, 1)
+	rtr, err := shard.NewMode(s, 2, engine.Naive)
 	if err := add("naive/shards=2", rtr, err); err != nil {
 		return nil, err
 	}
-	rtr, err = shard.NewMode(s, 2, engine.ActiveRules, 1)
+	rtr, err = shard.NewMode(s, 2, engine.ActiveRules)
 	if err := add("active/shards=2", rtr, err); err != nil {
 		return nil, err
 	}

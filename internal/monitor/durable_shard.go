@@ -215,7 +215,7 @@ func (d *ShardedDurable) Attach() {
 	}
 	rtr := d.m.Router()
 	d.m.SetJournal(func(t uint64, tx *storage.Transaction) {
-		parts := rtr.Split(tx)
+		parts := rtr.Parts(t, tx)
 		d.mu.Lock()
 		if d.degraded {
 			d.pushBacklogLocked(t, parts, nil)

@@ -59,8 +59,8 @@ func durableMonitor(t *testing.T) *Monitor {
 }
 
 // violationKeys flattens per-step violations into comparable strings.
-// Within one step the parallel pipeline reports violations in
-// nondeterministic order, so each step's batch is sorted.
+// Within one constraint a step reports witnesses in the answer set's
+// unspecified iteration order, so each step's batch is sorted.
 func violationKeys(vss [][]check.Violation) []string {
 	var out []string
 	for i, vs := range vss {

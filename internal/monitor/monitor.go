@@ -65,7 +65,6 @@ type Option func(*options)
 
 type options struct {
 	mode   engine.Mode
-	par    int
 	shards int
 }
 
@@ -75,19 +74,12 @@ func WithMode(m engine.Mode) Option {
 	return func(o *options) { o.mode = m }
 }
 
-// WithParallelism sets the worker-pool width of the incremental
-// engine's commit pipeline (n<=0 selects GOMAXPROCS, the default); the
-// other engines check sequentially and ignore it.
-func WithParallelism(n int) Option {
-	return func(o *options) { o.par = n }
-}
-
 // WithShards partitions the engine's state across n shard engines
 // behind a router (see internal/shard): transactions split by the
-// inferred per-relation partition columns, per-shard commits run
-// concurrently, results stay exact. n<=1 selects the plain unsharded
-// engine. Sharded monitors journal through per-shard WALs (see
-// ShardedDurable) and do not support snapshots.
+// inferred per-relation partition columns, the shards commit in order
+// under the commit lock, results stay exact. n<=1 selects the plain
+// unsharded engine. Sharded monitors journal through per-shard WALs
+// (see ShardedDurable) and do not support snapshots.
 func WithShards(n int) Option {
 	return func(o *options) { o.shards = n }
 }
@@ -101,14 +93,14 @@ func New(s *schema.Schema, constraints []workload.ConstraintSpec, opts ...Option
 	m := &Monitor{mode: o.mode, schema: s, subs: make(map[int]chan check.Violation)}
 	switch {
 	case o.shards > 1:
-		rtr, err := shard.NewMode(s, o.shards, o.mode, o.par)
+		rtr, err := shard.NewMode(s, o.shards, o.mode)
 		if err != nil {
 			return nil, fmt.Errorf("monitor: %w", err)
 		}
 		m.rtr = rtr
 		m.eng = rtr
 	case o.mode == engine.Incremental:
-		m.inc = core.New(s, core.WithParallelism(o.par))
+		m.inc = core.New(s)
 		m.eng = m.inc
 	case o.mode == engine.Naive:
 		m.eng = naive.New(s)
@@ -162,7 +154,7 @@ func RestoreObserved(s *schema.Schema, r io.Reader, o *obs.Observer, opts ...Opt
 	if op.mode != engine.Incremental {
 		return nil, fmt.Errorf("monitor: snapshots restore the incremental engine; mode %v is not restorable", op.mode)
 	}
-	c, err := core.LoadSnapshotObserved(s, r, o, core.WithParallelism(op.par))
+	c, err := core.LoadSnapshotObserved(s, r, o)
 	if err != nil {
 		return nil, err
 	}
@@ -269,7 +261,12 @@ func (m *Monitor) publish(vs []check.Violation) {
 	mm, _ := m.Observer().Parts()
 	m.subMu.Lock()
 	defer m.subMu.Unlock()
-	for _, v := range vs {
+	// Only the newest recentCapacity reports can survive in the ring.
+	keep := vs
+	if len(keep) > recentCapacity {
+		keep = keep[len(keep)-recentCapacity:]
+	}
+	for _, v := range keep {
 		if len(m.recent) < recentCapacity {
 			m.recent = append(m.recent, v)
 		} else {

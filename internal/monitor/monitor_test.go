@@ -187,3 +187,51 @@ func TestRecentRingBuffer(t *testing.T) {
 		t.Fatalf("Recent(5) = %v", last5)
 	}
 }
+
+// TestRecentKeepsNewestOfLargeCommits: a commit that wraps the ring
+// and a commit with more violations than the ring holds both leave
+// exactly the newest 128 reports in the ring, oldest first.
+func TestRecentKeepsNewestOfLargeCommits(t *testing.T) {
+	m, _ := hrMonitor(t)
+	var reported []string
+	// commit deletes rel(e) for e in [drop, lo) and inserts it for e in
+	// [lo, hi); every hired employee fired in the window is one
+	// violation.
+	commit := func(tm uint64, rel string, drop, lo, hi int64, want int) {
+		t.Helper()
+		tx := storage.NewTransaction()
+		for e := drop; e < lo; e++ {
+			tx.Delete(rel, tuple.Ints(e))
+		}
+		for e := lo; e < hi; e++ {
+			tx.Insert(rel, tuple.Ints(e))
+		}
+		vs, err := m.Apply(tm, tx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(vs) != want {
+			t.Fatalf("t=%d: %d violations, want %d", tm, len(vs), want)
+		}
+		for _, v := range vs {
+			reported = append(reported, v.String())
+		}
+		keep := reported
+		if len(keep) > recentCapacity {
+			keep = keep[len(keep)-recentCapacity:]
+		}
+		got := m.Recent(0)
+		if len(got) != len(keep) {
+			t.Fatalf("t=%d: ring holds %d reports, want %d", tm, len(got), len(keep))
+		}
+		for i, v := range got {
+			if v.String() != keep[i] {
+				t.Fatalf("t=%d: Recent(0)[%d] = %s, want %s", tm, i, v, keep[i])
+			}
+		}
+	}
+	commit(1, "fire", 0, 0, 400, 0)
+	commit(2, "hire", 0, 0, 100, 100)     // ring partly filled
+	commit(3, "hire", 0, 100, 150, 50)    // wraps across two commits
+	commit(4, "hire", 100, 150, 400, 250) // more than the ring holds
+}

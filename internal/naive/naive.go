@@ -126,11 +126,6 @@ func (c *Checker) State() *storage.State {
 // gauge reports the stored history's footprint instead.
 func (c *Checker) SetObserver(o *obs.Observer) {
 	c.obs = o
-	if m, _ := o.Parts(); m != nil {
-		// The naive route checks sequentially; publish the pool width so
-		// dashboards read a truthful 1 rather than a stale value.
-		m.ParallelWorkers.Set(1)
-	}
 }
 
 // StepBatch commits a sequence of transactions one at a time; the naive

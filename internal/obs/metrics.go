@@ -19,13 +19,10 @@ type Metrics struct {
 	AuxEntries        *Gauge        // bindings currently tracked
 	AuxTimestamps     *Gauge        // timestamps stored across bindings
 	AuxBytes          *Gauge        // estimated auxiliary footprint
-	ParallelWorkers   *Gauge        // commit-pipeline worker-pool width
 
 	// Attribution section (updated by the incremental engine's phased
 	// commit pipeline; see docs/OBSERVABILITY.md).
-	StepPhaseSeconds     *HistogramVec // per-phase commit time, by phase (apply/update/check/carry)
-	PoolQueueWaitSeconds *Histogram    // task wait before a pool worker picked it up
-	PoolUtilization      *FloatGauge   // busy fraction of the pool in the last parallel phase
+	StepPhaseSeconds *HistogramVec // per-phase commit time, by phase (apply/update/check/carry)
 
 	// Shard section (updated by the shard router when sharding is on).
 	Shards                 *Gauge        // configured shard count (0 = unsharded)
@@ -90,15 +87,9 @@ func NewMetrics(r *Registry) *Metrics {
 			"Timestamps stored across all auxiliary bindings."),
 		AuxBytes: r.Gauge("rtic_aux_bytes",
 			"Estimated auxiliary storage footprint in bytes."),
-		ParallelWorkers: r.Gauge("rtic_parallel_workers",
-			"Worker-pool width of the engine's commit pipeline (1 = sequential)."),
 
 		StepPhaseSeconds: r.HistogramVec("rtic_step_phase_seconds",
 			"Commit time attributed to one pipeline phase, by phase (apply, update, check, carry).", nil, "phase"),
-		PoolQueueWaitSeconds: r.Histogram("rtic_pool_queue_wait_seconds",
-			"Wait between a parallel phase starting and a pool worker picking each task up.", nil),
-		PoolUtilization: r.FloatGauge("rtic_pool_utilization",
-			"Busy fraction of the commit pipeline's worker pool over the last parallel phase (1 = no idle workers)."),
 
 		Shards: r.Gauge("rtic_shards",
 			"Configured shard count of the routing layer (0 = unsharded)."),

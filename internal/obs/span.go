@@ -8,16 +8,15 @@ import (
 )
 
 // Span names emitted by the commit path. A commit span decomposes into
-// per-phase children (apply/update/check/carry); parallel phases add
-// per-worker children, the shard router adds per-shard sub-commit
-// children, and the durability layer adds WAL append/fsync spans.
+// per-phase children (apply/update/check/carry); the shard router adds
+// per-shard sub-commit children, and the durability layer adds WAL
+// append/fsync spans.
 const (
 	SpanCommit       = "commit"        // one committed transaction, end to end
 	SpanApply        = "phase.apply"   // transaction applied to storage
 	SpanUpdate       = "phase.update"  // auxiliary node updates (all levels)
 	SpanCheck        = "phase.check"   // constraint denial evaluations
 	SpanCarry        = "phase.carry"   // deferred window advance bookkeeping
-	SpanWorker       = "worker"        // one worker's share of a parallel phase
 	SpanShardCommit  = "shard.commit"  // one shard engine's sub-commit
 	SpanWALAppend    = "wal.append"    // one record framed and written
 	SpanWALFsync     = "wal.fsync"     // fsync issued by the append
@@ -33,7 +32,7 @@ type Span struct {
 	Name   string        // one of the Span* constants
 	Detail string        // subject (constraint, shard index, level, ...)
 	Time   uint64        // engine timestamp of the enclosing commit
-	Track  int           // timeline lane: 0 = serial path, 1..n = worker/shard n
+	Track  int           // timeline lane: 0 = serial path, 1..n = shard n-1
 	Start  time.Time     // wall-clock begin
 	Dur    time.Duration // wall-clock length
 	Ops    int           // operations attributed (nodes, checks, tuples, ...)

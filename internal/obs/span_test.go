@@ -9,17 +9,17 @@ import (
 	"time"
 )
 
-// tree builds a commit span with a phase child and a worker grandchild,
-// the shape the core engine emits.
+// tree builds a commit span with a shard sub-commit child on lane 1
+// and a phase grandchild on the same lane.
 func tree(t0 time.Time) *Span {
 	root := &Span{Name: SpanCommit, Time: 7, Start: t0, Dur: 10 * time.Millisecond, Ops: 3}
-	check := &Span{Name: SpanCheck, Time: 7, Start: t0.Add(time.Millisecond), Dur: 8 * time.Millisecond, Ops: 5}
-	worker := &Span{
-		Name: SpanWorker, Detail: "w0", Time: 7, Track: 1,
-		Start: t0.Add(2 * time.Millisecond), Dur: 6 * time.Millisecond, Ops: 5, Wait: time.Millisecond,
+	shard := &Span{
+		Name: SpanShardCommit, Detail: "0", Time: 7, Track: 1,
+		Start: t0.Add(time.Millisecond), Dur: 8 * time.Millisecond, Ops: 5, Wait: time.Millisecond,
 	}
-	check.Children = append(check.Children, worker)
-	root.Children = append(root.Children, check)
+	check := shard.Child(SpanCheck, "")
+	check.Start, check.Dur, check.Ops = t0.Add(2*time.Millisecond), 6*time.Millisecond, 5
+	root.Children = append(root.Children, shard)
 	return root
 }
 
@@ -27,7 +27,7 @@ func TestSpanWalkAndRender(t *testing.T) {
 	s := tree(time.Now())
 	var names []string
 	s.Walk(func(sp *Span) { names = append(names, sp.Name) })
-	want := []string{SpanCommit, SpanCheck, SpanWorker}
+	want := []string{SpanCommit, SpanShardCommit, SpanCheck}
 	if len(names) != len(want) {
 		t.Fatalf("walked %v, want %v", names, want)
 	}
@@ -37,7 +37,7 @@ func TestSpanWalkAndRender(t *testing.T) {
 		}
 	}
 	r := s.Render()
-	for _, want := range []string{"commit 10ms ops=3", "  phase.check", "    worker(w0)", "wait=1ms", "track=1"} {
+	for _, want := range []string{"commit 10ms ops=3", "  shard.commit(0)", "    phase.check", "wait=1ms", "track=1"} {
 		if !strings.Contains(r, want) {
 			t.Errorf("render missing %q:\n%s", want, r)
 		}
@@ -124,7 +124,7 @@ func TestSlowSpanLogger(t *testing.T) {
 	if len(logged) != 1 {
 		t.Fatalf("slow commit not logged (%d entries)", len(logged))
 	}
-	for _, want := range []string{"slow commit t=7 took 10ms", "phase.check", "worker(w0)"} {
+	for _, want := range []string{"slow commit t=7 took 10ms", "shard.commit(0)", "phase.check"} {
 		if !strings.Contains(logged[0], want) {
 			t.Errorf("slow log missing %q:\n%s", want, logged[0])
 		}
@@ -144,7 +144,7 @@ func TestSpanTracerAdapter(t *testing.T) {
 	if rt.evs[0].Op != OpStep {
 		t.Errorf("commit span mapped to %q, want %q", rt.evs[0].Op, OpStep)
 	}
-	if rt.evs[1].Op != SpanCheck || rt.evs[2].Op != SpanWorker {
+	if rt.evs[1].Op != SpanShardCommit || rt.evs[2].Op != SpanCheck {
 		t.Errorf("child ops = %q, %q", rt.evs[1].Op, rt.evs[2].Op)
 	}
 	if rt.evs[0].Time != 7 || rt.evs[0].Duration != 10*time.Millisecond {
@@ -187,18 +187,21 @@ func TestWriteChromeTrace(t *testing.T) {
 	if ev.Dur != 10_000 {
 		t.Errorf("root dur = %v µs, want 10000", ev.Dur)
 	}
-	worker := trace.TraceEvents[2]
-	if worker.Name != SpanWorker || worker.Tid != 1 {
-		t.Errorf("worker event on tid %d: %+v", worker.Tid, worker)
+	shard := trace.TraceEvents[1]
+	if shard.Name != SpanShardCommit || shard.Tid != 1 {
+		t.Errorf("shard event on tid %d: %+v", shard.Tid, shard)
 	}
-	if worker.Args["wait_us"] != 1000.0 {
-		t.Errorf("worker wait_us = %v", worker.Args["wait_us"])
+	if shard.Args["wait_us"] != 1000.0 {
+		t.Errorf("shard wait_us = %v", shard.Args["wait_us"])
 	}
 	// Child slices must nest inside the parent on the timeline.
-	parent := trace.TraceEvents[1]
-	if worker.Ts < parent.Ts || worker.Ts+worker.Dur > parent.Ts+parent.Dur {
-		t.Errorf("worker [%v,%v] escapes parent [%v,%v]",
-			worker.Ts, worker.Ts+worker.Dur, parent.Ts, parent.Ts+parent.Dur)
+	phase := trace.TraceEvents[2]
+	if phase.Tid != 1 {
+		t.Errorf("phase event on tid %d, want its parent's lane 1", phase.Tid)
+	}
+	if phase.Ts < shard.Ts || phase.Ts+phase.Dur > shard.Ts+shard.Dur {
+		t.Errorf("phase [%v,%v] escapes parent [%v,%v]",
+			phase.Ts, phase.Ts+phase.Dur, shard.Ts, shard.Ts+shard.Dur)
 	}
 	errEv := trace.TraceEvents[3]
 	if errEv.Args["err"] != "fake" {

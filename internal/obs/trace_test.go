@@ -75,12 +75,12 @@ func TestSamplingTracer(t *testing.T) {
 
 func TestFloatGauge(t *testing.T) {
 	r := NewRegistry()
-	g := r.FloatGauge("rtic_pool_utilization", "Worker-pool busy fraction.")
+	g := r.FloatGauge("rtic_shard_commit_skew", "Shard sub-commit skew.")
 	g.Set(0.75)
 	if got := g.Value(); got != 0.75 {
 		t.Errorf("Value = %v, want 0.75", got)
 	}
-	if g2 := r.FloatGauge("rtic_pool_utilization", "Worker-pool busy fraction."); g2 != g {
+	if g2 := r.FloatGauge("rtic_shard_commit_skew", "Shard sub-commit skew."); g2 != g {
 		t.Error("re-registration should return the same gauge")
 	}
 	var buf bytes.Buffer
@@ -88,10 +88,10 @@ func TestFloatGauge(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	if !strings.Contains(out, "# TYPE rtic_pool_utilization gauge") {
+	if !strings.Contains(out, "# TYPE rtic_shard_commit_skew gauge") {
 		t.Errorf("float gauge must expose as TYPE gauge:\n%s", out)
 	}
-	if !strings.Contains(out, "rtic_pool_utilization 0.75") {
+	if !strings.Contains(out, "rtic_shard_commit_skew 0.75") {
 		t.Errorf("float gauge sample missing:\n%s", out)
 	}
 }
@@ -118,9 +118,7 @@ func TestConcurrentScrape(t *testing.T) {
 				m.Violations.With(fmt.Sprintf("c%d", w)).Inc()
 				m.CommitSeconds.Observe(0.001)
 				m.StepPhaseSeconds.With("check").Observe(0.0005)
-				m.PoolQueueWaitSeconds.Observe(0.0001)
-				m.PoolUtilization.Set(float64(i%100) / 100)
-				m.ShardSkew.Set(1.5)
+				m.ShardSkew.Set(float64(i%100) / 100)
 				m.AuxBytes.Set(int64(i))
 			}
 		}(w)
@@ -142,8 +140,6 @@ func TestMetricsIncludesAttributionFamilies(t *testing.T) {
 	r := NewRegistry()
 	m := NewMetrics(r)
 	m.StepPhaseSeconds.With("apply").Observe(0.001)
-	m.PoolQueueWaitSeconds.Observe(0.0001)
-	m.PoolUtilization.Set(0.5)
 	m.ShardSkew.Set(2)
 	m.LockWaitSeconds.Observe(0.0002)
 	m.BuildInfo.With("go1.24.0", "abc123").Set(1)
@@ -155,8 +151,6 @@ func TestMetricsIncludesAttributionFamilies(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE rtic_step_phase_seconds histogram",
 		`rtic_step_phase_seconds_bucket{phase="apply",le=`,
-		"# TYPE rtic_pool_queue_wait_seconds histogram",
-		"# TYPE rtic_pool_utilization gauge",
 		"# TYPE rtic_shard_commit_skew gauge",
 		"# TYPE rtic_commit_lock_wait_seconds histogram",
 		`rtic_build_info{go_version="go1.24.0",rev="abc123"} 1`,

@@ -1,7 +1,7 @@
 // Package shard scales checking past one state's lock: a Router fronts
 // N independent engines, hash-partitions relation state by a
 // per-relation partition column inferred from constraint join keys, and
-// runs shard commits concurrently.
+// commits the shards one after another on the caller's goroutine.
 //
 // The results are exact, never approximate. A constraint is installed
 // on every shard only when the static analysis in this file proves that

@@ -2,10 +2,8 @@ package shard
 
 import (
 	"fmt"
-	"hash/fnv"
-	"sort"
+	"slices"
 	"strconv"
-	"sync"
 	"time"
 
 	"rtic/internal/active"
@@ -30,7 +28,8 @@ type Factory func() engine.Engine
 // the engines, installs each constraint according to the current Plan
 // (partitionable constraints on every shard, the rest on the global
 // shard), and from then on splits every transaction by the per-relation
-// partition columns and commits the sub-transactions concurrently.
+// partition columns and commits the sub-transactions in shard order on
+// the caller's goroutine.
 //
 // Every shard steps at every commit timestamp — shards the split
 // leaves empty receive an empty sub-transaction — so temporal window
@@ -55,6 +54,28 @@ type Router struct {
 	now      uint64
 	index    int
 	broken   error // sticky: a shard failed mid-commit, state may have diverged
+
+	// lastParts are the sub-transactions of the commit at lastT, kept
+	// for Parts (nil when the last commit was not split). Each commit
+	// allocates fresh parts and nothing mutates them afterwards.
+	lastParts []*storage.Transaction
+	lastT     uint64
+	// durs holds the last commit's per-shard durations (observed
+	// commits only), for the skew gauge.
+	durs []time.Duration
+
+	// Metric handles resolved once by syncMetrics, so the commit path
+	// never does a labelled lookup: per shard, and per constraint in
+	// installation order (conIndex order). Nil when unobserved.
+	shardM    []shardMetrics
+	violCount []*obs.Counter
+}
+
+// shardMetrics are one shard's metric handles.
+type shardMetrics struct {
+	commits *obs.Counter
+	seconds *obs.Histogram
+	ops     *obs.Counter
 }
 
 // New returns a router over shards engines built by factory. One shard
@@ -77,18 +98,12 @@ func New(s *schema.Schema, shards int, factory Factory) (*Router, error) {
 }
 
 // NewMode is New with the factory derived from an engine mode, the
-// shape the public checker and the monitor use. Parallelism sets each
-// shard engine's commit-pipeline width in Incremental mode (values
-// below 1 mean 1: with shard concurrency on top, per-shard pipelines
-// default to sequential).
-func NewMode(s *schema.Schema, shards int, mode engine.Mode, parallelism int) (*Router, error) {
-	if parallelism < 1 {
-		parallelism = 1
-	}
+// shape the public checker and the monitor use.
+func NewMode(s *schema.Schema, shards int, mode engine.Mode) (*Router, error) {
 	var factory Factory
 	switch mode {
 	case engine.Incremental:
-		factory = func() engine.Engine { return core.New(s, core.WithParallelism(parallelism)) }
+		factory = func() engine.Engine { return core.New(s) }
 	case engine.Naive:
 		factory = func() engine.Engine { return naive.New(s) }
 	case engine.ActiveRules:
@@ -132,6 +147,9 @@ func (r *Router) AddConstraint(con *check.Constraint) error {
 	r.cons = append(r.cons, con)
 	r.names[con.Name] = true
 	r.plan = plan
+	if m, _ := r.obs.Parts(); m != nil {
+		r.syncMetrics(m)
+	}
 	return nil
 }
 
@@ -141,16 +159,17 @@ func (r *Router) AddConstraint(con *check.Constraint) error {
 // records commit, violation and per-shard routing metrics itself.
 func (r *Router) SetObserver(o *obs.Observer) {
 	r.obs = o
+	r.shardM, r.violCount = nil, nil
 	if m, _ := o.Parts(); m != nil {
 		m.Shards.Set(int64(r.n))
-		r.syncPlanMetrics(m)
+		r.syncMetrics(m)
 	}
 }
 
-// syncPlanMetrics republishes the plan-derived gauges and pre-registers
-// the per-shard and per-constraint series so a scrape shows them at
-// zero.
-func (r *Router) syncPlanMetrics(m *obs.Metrics) {
+// syncMetrics republishes the plan-derived gauge and resolves the
+// per-shard and per-constraint handles not resolved yet, which also
+// registers their series so a scrape shows them at zero.
+func (r *Router) syncMetrics(m *obs.Metrics) {
 	global := 0
 	for _, cp := range r.plan.Cons {
 		if !cp.Partitioned {
@@ -158,14 +177,16 @@ func (r *Router) syncPlanMetrics(m *obs.Metrics) {
 		}
 	}
 	m.ShardGlobalConstraints.Set(int64(global))
-	for i := 0; i < r.n; i++ {
+	for i := len(r.shardM); i < r.n; i++ {
 		label := strconv.Itoa(i)
-		m.ShardCommits.With(label)
-		m.ShardOpsRouted.With(label)
-		m.ShardCommitSeconds.With(label)
+		r.shardM = append(r.shardM, shardMetrics{
+			commits: m.ShardCommits.With(label),
+			seconds: m.ShardCommitSeconds.With(label),
+			ops:     m.ShardOpsRouted.With(label),
+		})
 	}
-	for _, con := range r.cons {
-		m.Violations.With(con.Name)
+	for i := len(r.violCount); i < len(r.cons); i++ {
+		r.violCount = append(r.violCount, m.Violations.With(r.cons[i].Name))
 	}
 }
 
@@ -212,11 +233,24 @@ func (r *Router) ShardFor(rel string, tup tuple.Tuple) int {
 	return shardOf(tup[p.Column], r.n)
 }
 
-// shardOf hashes one partition-key value onto [0, n).
+// shardOf hashes one partition-key value onto [0, n): 64-bit FNV-1a
+// over v.Key(), the assignment every per-shard journal was written
+// under. The key is built in a stack buffer (only a string key longer
+// than the buffer reaches the heap).
+//
+//rtic:noalloc
 func shardOf(v value.Value, n int) int {
-	h := fnv.New64a()
-	h.Write([]byte(v.Key()))
-	return int(h.Sum64() % uint64(n))
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	var buf [32]byte
+	h := uint64(offset64)
+	for _, c := range v.AppendKey(buf[:0]) {
+		h ^= uint64(c)
+		h *= prime64
+	}
+	return int(h % uint64(n))
 }
 
 // Split routes tx's operations into one sub-transaction per shard
@@ -240,6 +274,17 @@ func (r *Router) Split(tx *storage.Transaction) []*storage.Transaction {
 		}
 	}
 	return parts
+}
+
+// Parts returns tx's per-shard sub-transactions for the commit at t:
+// the ones the router committed when t is its last split commit (the
+// journal of a sharded monitor asks right after the commit), otherwise
+// a fresh Split. Callers must not mutate the result.
+func (r *Router) Parts(t uint64, tx *storage.Transaction) []*storage.Transaction {
+	if r.lastParts != nil && r.lastT == t {
+		return r.lastParts
+	}
+	return r.Split(tx)
 }
 
 // Step commits one transaction across the shards and merges their
@@ -270,9 +315,7 @@ func (r *Router) Step(t uint64, tx *storage.Transaction) ([]check.Violation, err
 		} else {
 			m.Commits.Inc()
 			m.CommitSeconds.Observe(d.Seconds())
-			for _, v := range vs {
-				m.Violations.With(v.Constraint).Inc()
-			}
+			r.countViolations(vs)
 			r.refreshAuxGauges(m)
 		}
 	}
@@ -301,16 +344,12 @@ func (r *Router) step(t uint64, tx *storage.Transaction, m *obs.Metrics, span *o
 		// (same op order, its own validation and error text) so a
 		// one-shard router is bit-identical to the engine it wraps.
 		var err error
-		var sp *obs.Span
-		vs, sp, _, err = r.stepOne(0, t, tx, m, span != nil)
-		if span != nil && sp != nil {
-			span.Children = append(span.Children, sp)
-		}
+		vs, _, err = r.stepOne(0, t, tx, m, span)
 		if err != nil {
 			return nil, err
 		}
 		if m != nil && tx != nil && tx.Len() > 0 {
-			m.ShardOpsRouted.With("0").Add(uint64(tx.Len()))
+			r.shardM[0].ops.Add(uint64(tx.Len()))
 		}
 	} else {
 		// Validate before any shard applies anything: a rejected
@@ -325,45 +364,33 @@ func (r *Router) step(t uint64, tx *storage.Transaction, m *obs.Metrics, span *o
 			return nil, err
 		}
 		parts := r.Split(tx)
-		if m != nil {
-			for i, p := range parts {
-				if n := len(p.Ops()); n > 0 {
-					m.ShardOpsRouted.With(strconv.Itoa(i)).Add(uint64(n))
-				}
+		r.lastParts = nil
+		// Shards commit in shard order; the first failure is the lowest
+		// failing shard's, and it latches the router broken.
+		if m != nil && r.durs == nil {
+			r.durs = make([]time.Duration, r.n)
+		}
+		for i, p := range parts {
+			if m != nil && p.Len() > 0 {
+				r.shardM[i].ops.Add(uint64(p.Len()))
 			}
-		}
-		outs := make([][]check.Violation, r.n)
-		errs := make([]error, r.n)
-		durs := make([]time.Duration, r.n)
-		sps := make([]*obs.Span, r.n)
-		var wg sync.WaitGroup
-		for i := range r.engines {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				outs[i], sps[i], durs[i], errs[i] = r.stepOne(i, t, parts[i], m, span != nil)
-			}(i)
-		}
-		wg.Wait()
-		if span != nil {
-			for _, sp := range sps {
-				if sp != nil {
-					span.Children = append(span.Children, sp)
-				}
-			}
-		}
-		if m != nil {
-			if skew := shardSkew(durs); skew > 0 {
-				m.ShardSkew.Set(skew)
-			}
-		}
-		for i, err := range errs {
+			out, d, err := r.stepOne(i, t, p, m, span)
 			if err != nil {
 				r.broken = fmt.Errorf("shard %d: %w", i, err)
 				return nil, r.broken
 			}
+			vs = append(vs, out...)
+			if m != nil {
+				r.durs[i] = d
+			}
 		}
-		vs = r.merge(outs)
+		if m != nil {
+			if skew := shardSkew(r.durs); skew > 0 {
+				m.ShardSkew.Set(skew)
+			}
+		}
+		r.sortViolations(vs)
+		r.lastParts, r.lastT = parts, t
 	}
 	r.started = true
 	r.now = t
@@ -372,34 +399,30 @@ func (r *Router) step(t uint64, tx *storage.Transaction, m *obs.Metrics, span *o
 }
 
 // stepOne commits one shard's sub-transaction, timing it when observed.
-// With wantSpan set it also returns a completed shard.commit span on
-// lane i+1; the caller attaches children after the fan-in, so
-// concurrent shard commits never touch the shared commit span.
-func (r *Router) stepOne(i int, t uint64, tx *storage.Transaction, m *obs.Metrics, wantSpan bool) ([]check.Violation, *obs.Span, time.Duration, error) {
-	if m == nil && !wantSpan {
+// With span set it appends a shard.commit child on lane i+1.
+func (r *Router) stepOne(i int, t uint64, tx *storage.Transaction, m *obs.Metrics, span *obs.Span) ([]check.Violation, time.Duration, error) {
+	if m == nil && span == nil {
 		vs, err := r.engines[i].Step(t, tx)
-		return vs, nil, 0, err
+		return vs, 0, err
 	}
 	start := time.Now()
 	vs, err := r.engines[i].Step(t, tx)
 	d := time.Since(start)
 	if m != nil && err == nil {
-		label := strconv.Itoa(i)
-		m.ShardCommits.With(label).Inc()
-		m.ShardCommitSeconds.With(label).Observe(d.Seconds())
+		r.shardM[i].commits.Inc()
+		r.shardM[i].seconds.Observe(d.Seconds())
 	}
-	var sp *obs.Span
-	if wantSpan {
+	if span != nil {
 		ops := 0
 		if tx != nil {
 			ops = tx.Len()
 		}
-		sp = &obs.Span{
+		span.Children = append(span.Children, &obs.Span{
 			Name: obs.SpanShardCommit, Detail: strconv.Itoa(i),
 			Time: t, Track: i + 1, Start: start, Dur: d, Ops: ops, Err: err,
-		}
+		})
 	}
-	return vs, sp, d, err
+	return vs, d, err
 }
 
 // shardSkew is the max/min ratio of per-shard sub-commit times — the
@@ -421,24 +444,31 @@ func shardSkew(durs []time.Duration) float64 {
 	return float64(max) / float64(min)
 }
 
-// merge flattens per-shard violation reports into one deterministic
-// order: constraint installation order, then witness binding order. No
-// deduplication is needed — a partitionable constraint's witness is
-// derivable on exactly one shard, and global constraints run on one
-// shard only.
-func (r *Router) merge(outs [][]check.Violation) []check.Violation {
-	var vs []check.Violation
-	for _, out := range outs {
-		vs = append(vs, out...)
-	}
-	sort.SliceStable(vs, func(i, j int) bool {
-		ci, cj := r.conIndex[vs[i].Constraint], r.conIndex[vs[j].Constraint]
-		if ci != cj {
-			return ci < cj
+// sortViolations puts the shards' concatenated violation reports into
+// one deterministic order: constraint installation order, then witness
+// binding order. No deduplication is needed — a partitionable
+// constraint's witness is derivable on exactly one shard, and global
+// constraints run on one shard only.
+func (r *Router) sortViolations(vs []check.Violation) {
+	slices.SortStableFunc(vs, func(a, b check.Violation) int {
+		if ca, cb := r.conIndex[a.Constraint], r.conIndex[b.Constraint]; ca != cb {
+			return ca - cb
 		}
-		return vs[i].Binding.Compare(vs[j].Binding) < 0
+		return a.Binding.Compare(b.Binding)
 	})
-	return vs
+}
+
+// countViolations adds one commit's reports to the per-constraint
+// violation counters, one Add per run of equal constraints.
+func (r *Router) countViolations(vs []check.Violation) {
+	for i := 0; i < len(vs); {
+		j := i + 1
+		for j < len(vs) && vs[j].Constraint == vs[i].Constraint {
+			j++
+		}
+		r.violCount[r.conIndex[vs[i].Constraint]].Add(uint64(j - i))
+		i = j
+	}
 }
 
 // StepBatch commits steps in order, stopping at the first error.

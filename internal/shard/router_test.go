@@ -259,6 +259,41 @@ func TestRouterEdgeRouting(t *testing.T) {
 	}
 }
 
+// TestRouterPartsReusesLastSplit: Parts hands back the sub-transactions
+// the router committed at t, and splits afresh for any other timestamp.
+func TestRouterPartsReusesLastSplit(t *testing.T) {
+	s := testSchema(t)
+	r, err := New(s, 4, coreFactory(s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.AddConstraint(parse(t, s, "c", "p(x) -> not once[0,3] q(x)")); err != nil {
+		t.Fatal(err)
+	}
+	tx := storage.NewTransaction()
+	for i := int64(0); i < 8; i++ {
+		tx.Insert("p", tuple.Ints(i))
+	}
+	if _, err := r.Step(5, tx); err != nil {
+		t.Fatal(err)
+	}
+	got := r.Parts(5, tx)
+	if again := r.Parts(5, tx); &again[0] != &got[0] {
+		t.Fatal("Parts re-split the commit the router just made")
+	}
+	want := r.Split(tx)
+	for i := range want {
+		if got[i].String() != want[i].String() {
+			t.Fatalf("shard %d: committed part %s, Split gives %s", i, got[i], want[i])
+		}
+	}
+	other := storage.NewTransaction().Insert("q", tuple.Ints(3))
+	parts := r.Parts(6, other)
+	if n := parts[r.ShardFor("q", tuple.Ints(3))].Len(); n != 1 {
+		t.Fatalf("Parts for an uncommitted timestamp holds %d ops on the owning shard, want a fresh split", n)
+	}
+}
+
 func TestRouterSealsAndRejects(t *testing.T) {
 	s := testSchema(t)
 	if _, err := New(s, 0, coreFactory(s)); err == nil {
@@ -358,7 +393,7 @@ func TestRouterModes(t *testing.T) {
 		} else {
 			ref = active.New(s)
 		}
-		r, err := NewMode(s, 2, mode, 1)
+		r, err := NewMode(s, 2, mode)
 		if err != nil {
 			t.Fatal(err)
 		}

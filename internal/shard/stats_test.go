@@ -10,7 +10,7 @@ import (
 
 // TestRouterStatsMatchFullWalk holds the router's summed totals, built
 // from each shard's totals-only walk, to the sum of the shards' full
-// Stats walks on the Table 8 dense-violation feed at 4 shards, and pins
+// Stats walks on the dense-violation feed at 4 shards, and pins
 // the totals walk at zero allocations.
 func TestRouterStatsMatchFullWalk(t *testing.T) {
 	h := workload.Uniform(workload.UniformConfig{Steps: 200, Seed: 53, OpsPerTx: 4, Domain: 16})

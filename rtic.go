@@ -123,7 +123,6 @@ type Option func(*config)
 
 type config struct {
 	mode   Mode
-	par    int
 	shards int
 	obs    *obs.Observer
 	lint   LintMode
@@ -169,26 +168,14 @@ func WithMode(m Mode) Option {
 	return func(c *config) { c.mode = m }
 }
 
-// WithParallelism sets the worker-pool width of the incremental
-// engine's commit pipeline: independent auxiliary-node updates and
-// constraint checks of one commit run on at most n goroutines. n=1
-// runs the pipeline inline (the exact sequential algorithm); n<=0 —
-// the default — selects GOMAXPROCS. The other engines check
-// sequentially and ignore the option.
-func WithParallelism(n int) Option {
-	return func(c *config) { c.par = n }
-}
-
 // WithShards partitions the checker's state across n independent shard
 // engines fronted by a router: each relation is hash-partitioned by a
 // column inferred from the constraints' join keys, transactions split
-// by ownership, and the per-shard commits run concurrently. Results
-// stay exact — a constraint whose witnesses the static analysis cannot
-// pin to one shard falls back to a designated global shard (see
-// internal/shard). n<=1 selects the plain unsharded engine. Sharding
-// composes with WithMode; WithParallelism then sets each shard
-// engine's internal pipeline width (default 1 when sharded — shard
-// concurrency replaces pipeline concurrency).
+// by ownership, and the shards commit one after another on the
+// committing goroutine. Results stay exact — a constraint whose
+// witnesses the static analysis cannot pin to one shard falls back to
+// a designated global shard (see internal/shard). n<=1 selects the
+// plain unsharded engine. Sharding composes with WithMode.
 func WithShards(n int) Option {
 	return func(c *config) { c.shards = n }
 }
@@ -230,7 +217,7 @@ func NewSamplingTracer(t Tracer, n int) Tracer { return obs.NewSamplingTracer(t,
 
 // Span is one timed section of the commit path. Spans form a tree
 // rooted at a commit: per-phase children (apply, update, check,
-// carry), per-worker and per-shard sub-spans, WAL append/fsync spans.
+// carry), per-shard sub-spans, WAL append/fsync spans.
 type Span = obs.Span
 
 // SpanSink receives completed commit span trees; set it on
@@ -284,13 +271,13 @@ func NewChecker(s *Schema, opts ...Option) (*Checker, error) {
 	c := &Checker{schema: s, mode: cfg.mode, obs: cfg.obs, lintMode: cfg.lint}
 	switch {
 	case cfg.shards > 1:
-		rtr, err := shard.NewMode(s, cfg.shards, cfg.mode, cfg.par)
+		rtr, err := shard.NewMode(s, cfg.shards, cfg.mode)
 		if err != nil {
 			return nil, fmt.Errorf("rtic: %w", err)
 		}
 		c.eng, c.rtr = rtr, rtr
 	case cfg.mode == Incremental:
-		inc := core.New(s, core.WithParallelism(cfg.par))
+		inc := core.New(s)
 		c.eng, c.inc = inc, inc
 	case cfg.mode == Naive:
 		c.eng = naive.New(s)
@@ -312,16 +299,6 @@ func (c *Checker) Mode() Mode { return c.mode }
 func (c *Checker) Shards() int {
 	if c.rtr != nil {
 		return c.rtr.Shards()
-	}
-	return 1
-}
-
-// Parallelism reports the worker-pool width of the commit pipeline: the
-// incremental engine's configured width, or 1 for the other engines,
-// which check sequentially.
-func (c *Checker) Parallelism() int {
-	if c.inc != nil {
-		return c.inc.Parallelism()
 	}
 	return 1
 }
@@ -586,15 +563,14 @@ func (c *Checker) SaveSnapshot(w io.Writer) error {
 
 // RestoreChecker rebuilds an Incremental checker from a snapshot written
 // by SaveSnapshot; the snapshot carries its constraints. The meaningful
-// options are WithObserver and WithParallelism (restored checkers are
-// always Incremental); the restore itself is traced when a tracer is
-// attached.
+// option is WithObserver (restored checkers are always Incremental);
+// the restore itself is traced when a tracer is attached.
 func RestoreChecker(s *Schema, r io.Reader, opts ...Option) (*Checker, error) {
 	cfg := config{mode: Incremental}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	inc, err := core.LoadSnapshotObserved(s, r, cfg.obs, core.WithParallelism(cfg.par))
+	inc, err := core.LoadSnapshotObserved(s, r, cfg.obs)
 	if err != nil {
 		return nil, err
 	}

@@ -3,9 +3,19 @@ package rtic
 import (
 	"bytes"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 )
+
+func canonViolations(vs []Violation) []string {
+	out := make([]string, len(vs))
+	for i, v := range vs {
+		out[i] = v.Constraint + "|" + v.Binding.Key()
+	}
+	sort.Strings(out)
+	return out
+}
 
 func TestShardsAccessor(t *testing.T) {
 	s := hrSchema(t)
