@@ -77,12 +77,12 @@ func TestAblationSpaceGrows(t *testing.T) {
 		}
 	}
 	ps, us := pruned.Stats(), unpruned.Stats()
-	// Pruned: at most window+1 timestamps per binding (3 bindings,
-	// window 5 → ≤ 18). Unpruned: q tuples persist, so every step
-	// anchors all three bindings — ~3 timestamps per step survive
+	// Pruned: a [0,b] window keeps only the newest anchor, one timestamp
+	// per binding (3 bindings → 3). Unpruned: q tuples persist, so every
+	// step anchors all three bindings — ~3 timestamps per step survive
 	// (1+2+3+3·297 = 897 at 300 steps).
-	if ps.Timestamps > 18 {
-		t.Fatalf("pruned timestamps = %d, want ≤ 18", ps.Timestamps)
+	if ps.Timestamps != 3 {
+		t.Fatalf("pruned timestamps = %d, want 3", ps.Timestamps)
 	}
 	if us.Timestamps != 897 {
 		t.Fatalf("unpruned timestamps = %d, want 897 (grows with history)", us.Timestamps)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"container/heap"
 	"fmt"
 	"sort"
 
@@ -205,21 +206,32 @@ func (p *prevNode) usage() NodeStats {
 
 // sinceEntry is the bounded history the checker keeps for one binding θ
 // of a since/once subformula: the timestamps t_j at which the anchor ψ
-// held with the chain φ unbroken since, pruned to the metric window
-// (a single timestamp suffices when the window is unbounded above).
-// inRB and keep cache the entry's last evaluated recurrence inputs
-// (row ∈ ⟦ψ⟧? and θ ⊨ φ?) so commits that touch nothing the node reads
-// can replay the recurrence without re-evaluating either formula; inAns
-// mirrors the row's membership in the node's maintained answer.
+// held with the chain φ unbroken since, pruned to the ones that can still
+// decide the answer (see prune). inRB and keep cache the entry's last
+// evaluated recurrence inputs (row ∈ ⟦ψ⟧? and θ ⊨ φ?) so commits that
+// touch nothing the node reads can replay the recurrence without
+// re-evaluating either formula; inAns mirrors the row's membership in the
+// node's maintained answer.
 type sinceEntry struct {
 	key   string // row's tuple.Key encoding: the entry's key in sinceNode.entries
 	pos   int    // the entry's index in sinceNode.list
 	row   tuple.Tuple
-	times []uint64 // ascending
+	times []uint64 // ascending; see open
 	inRB  bool
 	keep  bool
 	inAns bool
+	// open marks a ψ-run in progress on a deadline node: the recurrence
+	// would set times to {t} at every commit, so the entry's one
+	// timestamp is the node's current commit (lastT), resolved when read;
+	// times[0] is stale until the run closes.
+	open  bool
 	stamp uint64 // t+1 of the commit that created the entry
+	mark  uint64 // t+1 of the latest commit that queued the entry for a visit
+	// due is the first commit time at which the answer membership of a
+	// parked entry can change without input; hpos is the entry's index in
+	// sinceNode.dueQ plus one, 0 when the entry is not parked.
+	due  uint64
+	hpos int
 }
 
 // updatePath names how a since/once node's phase A ran in the latest
@@ -256,6 +268,18 @@ type sinceNode struct {
 	// noPrune disables the bounded-encoding pruning rules (the space
 	// ablation); answers are unchanged, storage grows with history.
 	noPrune bool
+	// deadlines selects deadline-driven maintenance, sound when every
+	// entry keeps one timestamp whose membership changes at a known time:
+	// [0,b] and [a,∞) windows with pruning on. An entry is then visited
+	// only when ψ's delta touches it or it falls due (dueQ); open ψ-runs
+	// need no visit at all. Other nodes visit every entry at every commit.
+	deadlines bool
+	dueQ      dueQueue
+	// visit queues the entries the current commit must visit (deadline
+	// nodes only); visits counts the latest commit's recurrence
+	// applications.
+	visit  []*sinceEntry
+	visits int
 
 	// entries indexes the entries by key; list holds the same entries
 	// for the recurrence sweeps, which iterate a slice faster than a map.
@@ -281,15 +305,17 @@ type sinceNode struct {
 	keyBuf  []byte
 }
 
-func newOnceNode(n *mtl.Once) (*sinceNode, error) {
-	return newSinceLike(n, n.I, mtl.Truth{Bool: true}, n.F)
+// newOnceNode and newSinceNode build a since/once node; noPrune selects
+// the unpruned space ablation.
+func newOnceNode(n *mtl.Once, noPrune bool) (*sinceNode, error) {
+	return newSinceLike(n, n.I, mtl.Truth{Bool: true}, n.F, noPrune)
 }
 
-func newSinceNode(n *mtl.Since) (*sinceNode, error) {
-	return newSinceLike(n, n.I, n.L, n.R)
+func newSinceNode(n *mtl.Since, noPrune bool) (*sinceNode, error) {
+	return newSinceLike(n, n.I, n.L, n.R, noPrune)
 }
 
-func newSinceLike(node mtl.Formula, iv mtl.Interval, left, right mtl.Formula) (*sinceNode, error) {
+func newSinceLike(node mtl.Formula, iv mtl.Interval, left, right mtl.Formula, noPrune bool) (*sinceNode, error) {
 	vars := mtl.FreeVars(node)
 	rvars := mtl.FreeVars(right)
 	if len(vars) != len(rvars) {
@@ -304,15 +330,17 @@ func newSinceLike(node mtl.Formula, iv mtl.Interval, left, right mtl.Formula) (*
 		}
 	}
 	return &sinceNode{
-		node:    node,
-		iv:      iv,
-		left:    left,
-		right:   right,
-		vars:    vars,
-		lvars:   lvars,
-		lPos:    varPositions(vars, lvars),
-		entries: make(map[string]*sinceEntry),
-		ans:     fol.NewBindings(vars),
+		node:      node,
+		iv:        iv,
+		left:      left,
+		right:     right,
+		vars:      vars,
+		lvars:     lvars,
+		lPos:      varPositions(vars, lvars),
+		noPrune:   noPrune,
+		deadlines: !noPrune && (iv.Unbounded || iv.Lo == 0),
+		entries:   make(map[string]*sinceEntry),
+		ans:       fol.NewBindings(vars),
 	}, nil
 }
 
@@ -332,6 +360,8 @@ func (s *sinceNode) isOnce() bool {
 func (s *sinceNode) phaseA(sc *stepCtx, ev *fol.Evaluator, t uint64) error {
 	s.added = s.added[:0]
 	s.removed = s.removed[:0]
+	s.visits = 0
+	s.visit = s.visit[:0]
 	var err error
 	switch {
 	case s.primed && s.lDeps.clean(sc) && s.rDeps.clean(sc):
@@ -366,22 +396,24 @@ func (s *sinceNode) psiByDelta(sc *stepCtx) bool {
 }
 
 // anchor records that row (whose key is key) satisfies ψ at t: it sets
-// the entry's inRB flag, or creates a fresh entry {t} and reports it.
-func (s *sinceNode) anchor(row tuple.Tuple, key []byte, t uint64) (*sinceEntry, bool, error) {
+// the entry's inRB flag, or creates a fresh entry {t}. fresh reports a
+// created entry, changed one whose inRB flag was unset before.
+func (s *sinceNode) anchor(row tuple.Tuple, key []byte, t uint64) (e *sinceEntry, fresh, changed bool, err error) {
 	if e, ok := s.entries[string(key)]; ok {
+		changed = !e.inRB
 		e.inRB = true
-		return e, false, nil
+		return e, false, changed, nil
 	}
-	e := &sinceEntry{key: string(key), row: row.Clone(), times: []uint64{t}, inRB: true, keep: true, stamp: t + 1}
+	e = &sinceEntry{key: string(key), row: row.Clone(), times: []uint64{t}, inRB: true, keep: true, stamp: t + 1}
 	s.addEntry(e)
 	if s.iv.Contains(0) {
 		if err := s.ans.AddRow(e.row); err != nil {
-			return nil, false, err
+			return nil, false, false, err
 		}
 		e.inAns = true
 		s.added = append(s.added, e.row)
 	}
-	return e, true, nil
+	return e, true, true, nil
 }
 
 // chain decides θ ⊨ φ for an entry row (always true for once).
@@ -414,7 +446,7 @@ func (s *sinceNode) fullA(sc *stepCtx, ev *fol.Evaluator, t uint64) error {
 	var markErr error
 	mark := func(row tuple.Tuple) bool {
 		s.keyBuf = row.AppendKeyTo(s.keyBuf[:0])
-		_, _, markErr = s.anchor(row, s.keyBuf, t)
+		_, _, _, markErr = s.anchor(row, s.keyBuf, t)
 		return markErr == nil
 	}
 	if s.psi.plan != nil && sc != nil && sc.planned {
@@ -452,7 +484,8 @@ func (s *sinceNode) fullA(sc *stepCtx, ev *fol.Evaluator, t uint64) error {
 		// is just {t}), but later commits replay from the cache.
 		e.keep = keep
 		if e.stamp == t+1 {
-			continue // created above; times already [t], answer updated
+			s.settle(e, t) // created above; times already [t], answer updated
+			continue
 		}
 		if err := s.applyRecurrence(e, keep, t); err != nil {
 			return err
@@ -463,7 +496,8 @@ func (s *sinceNode) fullA(sc *stepCtx, ev *fol.Evaluator, t uint64) error {
 
 // deltaA is the delta path: retest the inRB entries ψ's kills pin,
 // anchor the rows ψ's seeds derive (testing φ for fresh entries only),
-// then replay the recurrence from the flags.
+// then replay the recurrence from the flags. Entries whose inRB flag
+// flipped are queued for the replay's visit.
 func (s *sinceNode) deltaA(sc *stepCtx, ev *fol.Evaluator, t uint64) error {
 	var rerr error
 	err := s.psi.eachTouched(func(row tuple.Tuple) bool {
@@ -472,16 +506,20 @@ func (s *sinceNode) deltaA(sc *stepCtx, ev *fol.Evaluator, t uint64) error {
 		if !ok || !e.inRB {
 			return true
 		}
-		e.inRB, rerr = s.psi.plan.RetestRow(sc.c.cur, sc.orc, row)
+		if e.inRB, rerr = s.psi.plan.RetestRow(sc.c.cur, sc.orc, row); rerr == nil && !e.inRB {
+			s.touch(e, t)
+		}
 		return rerr == nil
 	})
 	if err == nil && rerr == nil {
 		err = s.psi.eachSeeded(sc, func(row tuple.Tuple) bool {
 			s.keyBuf = row.AppendKeyTo(s.keyBuf[:0])
-			var e *sinceEntry
-			var fresh bool
-			if e, fresh, rerr = s.anchor(row, s.keyBuf, t); rerr == nil && fresh {
+			e, fresh, changed, aerr := s.anchor(row, s.keyBuf, t)
+			if rerr = aerr; rerr == nil && fresh {
 				e.keep, rerr = s.chain(ev, e.row)
+			}
+			if rerr == nil && changed {
+				s.touch(e, t)
 			}
 			return rerr == nil
 		})
@@ -496,10 +534,25 @@ func (s *sinceNode) deltaA(sc *stepCtx, ev *fol.Evaluator, t uint64) error {
 	return nil
 }
 
+// touch queues e for this commit's visit on a deadline node (once per
+// commit); other nodes visit every entry anyway.
+func (s *sinceNode) touch(e *sinceEntry, t uint64) {
+	if !s.deadlines || e.mark == t+1 {
+		return
+	}
+	e.mark = t + 1
+	s.visit = append(s.visit, e)
+}
+
 // applyRecurrence replays one entry's recurrence step from keep/inRB,
-// prunes, deletes empty entries, and maintains the answer set and the
-// storage totals.
+// prunes, deletes empty entries, settles the rest, and maintains the
+// answer set and the storage totals.
 func (s *sinceNode) applyRecurrence(e *sinceEntry, keep bool, t uint64) error {
+	s.visits++
+	if e.open {
+		// Close the run: its newest anchor is the previous commit.
+		e.times[0], e.open = s.lastT, false
+	}
 	n0 := len(e.times)
 	if !keep {
 		e.times = e.times[:0]
@@ -512,6 +565,8 @@ func (s *sinceNode) applyRecurrence(e *sinceEntry, keep bool, t uint64) error {
 	after := len(e.times) > 0 && s.satisfied(e, t)
 	if len(e.times) == 0 {
 		s.dropEntry(e)
+	} else {
+		s.settle(e, t)
 	}
 	if e.inAns && !after {
 		s.ans.RemoveKey(e.key)
@@ -527,23 +582,109 @@ func (s *sinceNode) applyRecurrence(e *sinceEntry, keep bool, t uint64) error {
 	return nil
 }
 
-// replay applies the recurrence to every entry not created this commit
-// from its cached inRB/keep flags — no formula evaluation. On the refresh
-// path no entry is fresh: an unchanged ⟦ψ⟧ cannot contain a row without
-// an entry (every ⟦ψ⟧ row is an entry with inRB set, and inRB entries
-// always retain the current timestamp and so are never deleted).
+// replay applies the recurrence from the cached inRB/keep flags — no
+// formula evaluation — to every entry that can change at t and was not
+// created this commit. A deadline node visits the entries queued by ψ's
+// delta and those that fall due; any other node visits every entry. On
+// the refresh path no entry is fresh: an unchanged ⟦ψ⟧ cannot contain a
+// row without an entry (every ⟦ψ⟧ row is an entry with inRB set, and
+// inRB entries always retain the current timestamp and so are never
+// deleted).
 func (s *sinceNode) replay(t uint64) {
-	once := s.isOnce()
-	// Downward, so dropEntry's swap-remove only moves visited entries.
-	for i := len(s.list) - 1; i >= 0; i-- {
-		e := s.list[i]
-		if e.stamp == t+1 {
-			continue
+	keepAll := s.isOnce()
+	// applyRecurrence cannot error here: it only errors on AddRow of a
+	// stable entry row, whose arity matched when first added.
+	if !s.deadlines {
+		// Downward, so dropEntry's swap-remove only moves visited entries.
+		for i := len(s.list) - 1; i >= 0; i-- {
+			if e := s.list[i]; e.stamp != t+1 {
+				_ = s.applyRecurrence(e, keepAll || e.keep, t)
+			}
 		}
-		// applyRecurrence cannot error here: it only errors on AddRow of
-		// a stable entry row, whose arity matched when first added.
-		_ = s.applyRecurrence(e, once || e.keep, t)
+		return
 	}
+	for len(s.dueQ) > 0 && s.dueQ[0].due <= t {
+		s.touch(heap.Pop(&s.dueQ).(*sinceEntry), t)
+	}
+	for i, e := range s.visit {
+		if e.stamp == t+1 {
+			s.settle(e, t)
+		} else {
+			_ = s.applyRecurrence(e, keepAll || e.keep, t)
+		}
+		s.visit[i] = nil
+	}
+	s.visit = s.visit[:0]
+}
+
+// settle files an entry of a deadline node after its recurrence ran at
+// t (times is then {t} or one older timestamp). While ψ holds, the
+// recurrence would set times to {t} at every commit, except on an
+// unbounded window with φ holding, where the earliest anchor stays: the
+// entry becomes an open run that needs no visit until ψ's delta touches
+// it. Any other entry parks in the due queue until the first time its
+// membership can change — its timestamp leaving [0,b], or entering
+// [a,∞) — or leaves the queue when no time can change it.
+func (s *sinceNode) settle(e *sinceEntry, t uint64) {
+	if !s.deadlines {
+		return
+	}
+	tm := e.times[0]
+	switch {
+	case e.inRB && (!s.iv.Unbounded || !e.keep):
+		e.open = true
+		s.unpark(e)
+	case !s.iv.Unbounded:
+		s.park(e, satAdd(tm, satAdd(s.iv.Hi, 1)))
+	case t-tm < s.iv.Lo:
+		s.park(e, satAdd(tm, s.iv.Lo))
+	default:
+		s.unpark(e)
+	}
+}
+
+// park files e in the due queue under due, or moves it there.
+func (s *sinceNode) park(e *sinceEntry, due uint64) {
+	e.due = due
+	if e.hpos > 0 {
+		heap.Fix(&s.dueQ, e.hpos-1)
+		return
+	}
+	heap.Push(&s.dueQ, e)
+}
+
+// unpark takes e out of the due queue if it is parked.
+func (s *sinceNode) unpark(e *sinceEntry) {
+	if e.hpos > 0 {
+		heap.Remove(&s.dueQ, e.hpos-1)
+	}
+}
+
+// dueQueue is a min-heap of parked entries by due time; each entry
+// tracks its own position (hpos) so it can be moved or removed.
+type dueQueue []*sinceEntry
+
+func (q dueQueue) Len() int           { return len(q) }
+func (q dueQueue) Less(i, j int) bool { return q[i].due < q[j].due }
+
+func (q dueQueue) Swap(i, j int) {
+	q[i], q[j] = q[j], q[i]
+	q[i].hpos, q[j].hpos = i+1, j+1
+}
+
+func (q *dueQueue) Push(x any) {
+	e := x.(*sinceEntry)
+	e.hpos = len(*q) + 1
+	*q = append(*q, e)
+}
+
+func (q *dueQueue) Pop() any {
+	old := *q
+	e := old[len(old)-1]
+	old[len(old)-1] = nil
+	*q = old[:len(old)-1]
+	e.hpos = 0
+	return e
 }
 
 // entryBytes is an entry's storage estimate without its timestamps,
@@ -561,13 +702,14 @@ func (s *sinceNode) addEntry(e *sinceEntry) {
 }
 
 // dropEntry deletes an entry, moving the last entry of list into its
-// slot, and uncounts it.
+// slot, takes it out of the due queue, and uncounts it.
 func (s *sinceNode) dropEntry(e *sinceEntry) {
 	delete(s.entries, e.key)
 	last := s.list[len(s.list)-1]
 	s.list[e.pos], last.pos = last, e.pos
 	s.list[len(s.list)-1] = nil
 	s.list = s.list[:len(s.list)-1]
+	s.unpark(e)
 	s.nTimes -= len(e.times)
 	s.fixedBytes -= entryBytes(e)
 }
@@ -579,10 +721,14 @@ func (s *sinceNode) finish(t uint64) {
 	s.dirtied = len(s.added)+len(s.removed) > 0
 }
 
-// prune enforces the bounded history encoding: timestamps older than the
-// upper window bound can never re-enter the window; with an unbounded
-// window, satisfaction is monotone in age so the earliest timestamp
-// subsumes all others.
+// prune enforces the bounded history encoding. An unbounded window
+// keeps the earliest timestamp: satisfaction is monotone in age, so it
+// subsumes all others. A bounded [a,b] window keeps the timestamps
+// younger than a, which may yet enter it, plus the newest matured one
+// (age ≥ a) while it is still inside: ages only grow, so an older
+// matured timestamp leaves the window before the newest one and can
+// never witness what the newest does not. For a = 0 that is exactly
+// one timestamp.
 func (s *sinceNode) prune(e *sinceEntry, now uint64) {
 	if s.noPrune {
 		return
@@ -593,9 +739,13 @@ func (s *sinceNode) prune(e *sinceEntry, now uint64) {
 		}
 		return
 	}
-	cut := 0
-	for cut < len(e.times) && now-e.times[cut] > s.iv.Hi {
-		cut++
+	matured := 0 // times ascend, so the matured ones are a prefix
+	for matured < len(e.times) && now-e.times[matured] >= s.iv.Lo {
+		matured++
+	}
+	cut := matured
+	if matured > 0 && now-e.times[matured-1] <= s.iv.Hi {
+		cut--
 	}
 	if cut > 0 {
 		e.times = append(e.times[:0], e.times[cut:]...)
@@ -605,8 +755,27 @@ func (s *sinceNode) prune(e *sinceEntry, now uint64) {
 func (s *sinceNode) phaseBCompute(*stepCtx, *fol.Evaluator, uint64) error { return nil }
 func (s *sinceNode) phaseBCommit(uint64)                                  {}
 
+// timesOf returns e's timestamps with an open run resolved to the node's
+// current commit; it aliases e.times unless the run is open.
+func (s *sinceNode) timesOf(e *sinceEntry) []uint64 {
+	if e.open {
+		return []uint64{s.lastT}
+	}
+	return e.times
+}
+
+// satisfied reports whether one of e's timestamps lies in the window at
+// now. Timestamps ascend, so ages descend: the scan stops at the first
+// one younger than the window, which after pruning is at most the
+// second.
 func (s *sinceNode) satisfied(e *sinceEntry, now uint64) bool {
+	if e.open {
+		return s.iv.Contains(now - s.lastT)
+	}
 	for _, tm := range e.times {
+		if now-tm < s.iv.Lo {
+			return false
+		}
 		if s.iv.Contains(now - tm) {
 			return true
 		}
@@ -719,6 +888,9 @@ func (s *sinceNode) invariants(now uint64) error {
 	if got := s.usage(); got != walk {
 		return fmt.Errorf("core: %q: running totals %+v, walk %+v", s.node.String(), got, walk)
 	}
+	if err := s.queueInvariants(now); err != nil {
+		return err
+	}
 	if s.noPrune {
 		return nil // the ablation deliberately violates the space bounds
 	}
@@ -726,21 +898,96 @@ func (s *sinceNode) invariants(now uint64) error {
 		if len(e.times) == 0 {
 			return fmt.Errorf("core: %q: empty entry %s retained", s.node.String(), key)
 		}
-		for i := 1; i < len(e.times); i++ {
-			if e.times[i-1] >= e.times[i] {
-				return fmt.Errorf("core: %q: timestamps not strictly ascending: %v", s.node.String(), e.times)
+		times := s.timesOf(e)
+		for i := 1; i < len(times); i++ {
+			if times[i-1] >= times[i] {
+				return fmt.Errorf("core: %q: timestamps not strictly ascending: %v", s.node.String(), times)
 			}
 		}
-		if s.iv.Unbounded && len(e.times) > 1 {
-			return fmt.Errorf("core: %q: unbounded window kept %d timestamps", s.node.String(), len(e.times))
+		if s.iv.Unbounded {
+			if len(times) > 1 {
+				return fmt.Errorf("core: %q: unbounded window kept %d timestamps", s.node.String(), len(times))
+			}
+			continue
 		}
-		if !s.iv.Unbounded {
-			for _, tm := range e.times {
-				if now-tm > s.iv.Hi {
-					return fmt.Errorf("core: %q: stale timestamp %d at now=%d (window %s)", s.node.String(), tm, now, s.iv.String())
-				}
+		matured := 0
+		for _, tm := range times {
+			if now-tm > s.iv.Hi {
+				return fmt.Errorf("core: %q: stale timestamp %d at now=%d (window %s)", s.node.String(), tm, now, s.iv.String())
+			}
+			if now-tm >= s.iv.Lo {
+				matured++
 			}
 		}
+		if matured > 1 {
+			return fmt.Errorf("core: %q: entry %s kept %d matured timestamps %v at now=%d (window %s)",
+				s.node.String(), key, matured, times, now, s.iv.String())
+		}
+	}
+	return nil
+}
+
+// queueInvariants checks the deadline bookkeeping: the due queue is a
+// heap holding each parked entry exactly once, and once the node has
+// settled a commit at now, every entry is either an open run (ψ holds,
+// one timestamp), parked under the first time its membership can change
+// (still in the future), or unchangeable without input. Nodes without
+// deadlines keep no open or parked entry.
+func (s *sinceNode) queueInvariants(now uint64) error {
+	for i, e := range s.dueQ {
+		if e.hpos != i+1 || s.entries[e.key] != e {
+			return fmt.Errorf("core: %q: due queue slot %d holds entry %s (position %d, indexed %v)",
+				s.node.String(), i, e.key, e.hpos, s.entries[e.key] == e)
+		}
+		if i > 0 && s.dueQ[(i-1)/2].due > e.due {
+			return fmt.Errorf("core: %q: due queue out of heap order at slot %d", s.node.String(), i)
+		}
+	}
+	parked := 0
+	for key, e := range s.entries {
+		if e.hpos > 0 {
+			parked++
+		}
+		if !s.deadlines {
+			if e.open || e.hpos > 0 {
+				return fmt.Errorf("core: %q: entry %s open=%v parked=%v on a node without deadlines", s.node.String(), key, e.open, e.hpos > 0)
+			}
+			continue
+		}
+		if !s.primed || now != s.lastT {
+			continue // restored entries settle on the first commit
+		}
+		if e.open {
+			if len(e.times) != 1 || !e.inRB || (s.iv.Unbounded && e.keep) || e.hpos > 0 {
+				return fmt.Errorf("core: %q: open run %s with %d timestamps, inRB=%v keep=%v parked=%v",
+					s.node.String(), key, len(e.times), e.inRB, e.keep, e.hpos > 0)
+			}
+			continue
+		}
+		if e.inRB && (!s.iv.Unbounded || !e.keep) {
+			return fmt.Errorf("core: %q: entry %s holds ψ but is not an open run", s.node.String(), key)
+		}
+		tm := e.times[0]
+		var due uint64
+		switch {
+		case !s.iv.Unbounded:
+			due = satAdd(tm, satAdd(s.iv.Hi, 1))
+		case now-tm < s.iv.Lo:
+			due = satAdd(tm, s.iv.Lo)
+		}
+		if due == 0 {
+			if e.hpos > 0 {
+				return fmt.Errorf("core: %q: settled entry %s parked until %d", s.node.String(), key, e.due)
+			}
+			continue
+		}
+		if e.hpos == 0 || e.due != due || due <= now {
+			return fmt.Errorf("core: %q: entry %s parked=%v until %d, want until %d (now=%d)",
+				s.node.String(), key, e.hpos > 0, e.due, due, now)
+		}
+	}
+	if parked != len(s.dueQ) {
+		return fmt.Errorf("core: %q: %d entries parked, due queue holds %d", s.node.String(), parked, len(s.dueQ))
 	}
 	return nil
 }

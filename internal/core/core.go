@@ -292,11 +292,10 @@ func (c *Checker) compile(f mtl.Formula) error {
 		if err := c.compile(n.F); err != nil {
 			return err
 		}
-		node, err := newOnceNode(n)
+		node, err := newOnceNode(n, c.pruningDisabled)
 		if err != nil {
 			return err
 		}
-		node.noPrune = c.pruningDisabled
 		c.register(n, node)
 		return nil
 	case *mtl.Since:
@@ -306,11 +305,10 @@ func (c *Checker) compile(f mtl.Formula) error {
 		if err := c.compile(n.R); err != nil {
 			return err
 		}
-		node, err := newSinceNode(n)
+		node, err := newSinceNode(n, c.pruningDisabled)
 		if err != nil {
 			return err
 		}
-		node.noPrune = c.pruningDisabled
 		c.register(n, node)
 		return nil
 	default:
@@ -431,17 +429,15 @@ func (c *Checker) Step(t uint64, tx *storage.Transaction) ([]check.Violation, er
 	if m == nil && tr == nil && sink == nil {
 		return c.step(t, tx, nil)
 	}
-	vs, err := c.observedStep(t, tx, m, tr, sink)
-	if m != nil && err == nil {
-		c.refreshAuxGauges(m)
-	}
-	return vs, err
+	return c.observedStep(t, tx, m, tr, sink, true)
 }
 
 // observedStep is one instrumented commit: counters, latency histogram,
-// the step trace event and the commit span — everything per-step except
-// the auxiliary-storage gauge refresh, which batch commits amortize.
-func (c *Checker) observedStep(t uint64, tx *storage.Transaction, m *obs.Metrics, tr obs.Tracer, sink obs.SpanSink) ([]check.Violation, error) {
+// the step trace event and the commit span, plus — when refresh is set;
+// batch commits amortize it — the auxiliary-storage gauge refresh. The
+// commit span closes after the refresh, so the gauge walk is
+// attributed to the commit rather than left between spans.
+func (c *Checker) observedStep(t uint64, tx *storage.Transaction, m *obs.Metrics, tr obs.Tracer, sink obs.SpanSink, refresh bool) ([]check.Violation, error) {
 	si := &stepInstr{c: c, m: m, tr: tr}
 	if sink != nil {
 		si.span = &obs.Span{Name: obs.SpanCommit, Time: t, Start: time.Now(), Ops: tx.Len()}
@@ -455,13 +451,16 @@ func (c *Checker) observedStep(t uint64, tx *storage.Transaction, m *obs.Metrics
 		} else {
 			m.Commits.Inc()
 			m.CommitSeconds.Observe(d.Seconds())
+			if refresh {
+				c.refreshAuxGauges(m)
+			}
 		}
 	}
 	if tr != nil {
 		tr.Trace(obs.TraceEvent{Op: obs.OpStep, Time: t, Duration: d, Err: err})
 	}
 	if sink != nil {
-		si.span.Dur = d
+		si.span.Dur = time.Since(start)
 		si.span.Err = err
 		sink.ObserveSpan(si.span)
 	}
@@ -498,7 +497,7 @@ func (c *Checker) StepBatch(steps []engine.Step) ([][]check.Violation, error) {
 		if m == nil && tr == nil && sink == nil {
 			vs, err = c.step(s.Time, s.Tx, nil)
 		} else {
-			vs, err = c.observedStep(s.Time, s.Tx, m, tr, sink)
+			vs, err = c.observedStep(s.Time, s.Tx, m, tr, sink, false)
 		}
 		if err != nil {
 			return out, fmt.Errorf("core: batch step %d (t=%d): %w", i, s.Time, err)

@@ -34,14 +34,19 @@ func TestScheduleCosts(t *testing.T) {
 		weight    uint64
 		wantNodes int
 	}{
-		// Denial keeps once[0,9] p(x): bounded window spans ages 0..9.
-		{`p(x) -> not once[0,9] p(x)`, "", 10, 1, 10, 1},
+		// once[0,b] keeps only the newest anchor: one timestamp.
+		{`p(x) -> not once[0,9] p(x)`, "", 1, 1, 1, 1},
+		// once[a,b] keeps the anchors younger than a plus the newest
+		// matured one: a+1 timestamps, whatever b is.
+		{`p(x) -> not once[3,9] p(x)`, "", 4, 1, 4, 1},
+		{`p(x) -> not (q(x) since[5,6] p(x))`, "", 6, 1, 6, 1},
 		// Unbounded window retains a single timestamp per binding.
 		{`p(x) -> not once q(x)`, "", 1, 1, 1, 1},
+		{`p(x) -> not once[7,*] q(x)`, "", 1, 1, 1, 1},
 		// prev stores exactly one state.
 		{`p(x) -> prev[1,5] p(x)`, "", 1, 1, 1, 1},
 		// Binary binding space doubles the weight.
-		{`r(x, y) -> not once[0,4] r(x, y)`, "", 5, 2, 10, 1},
+		{`r(x, y) -> not once[2,4] r(x, y)`, "", 3, 2, 6, 1},
 	}
 	for _, tc := range cases {
 		c := costChecker(t, tc.src)

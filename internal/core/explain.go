@@ -13,9 +13,10 @@ import (
 // auxiliary encoding: for every temporal subformula of the violated
 // constraint's denial that the violating binding reaches, the checker
 // reports whether it held and — for once/since nodes — the in-window
-// anchor timestamps that witnessed it. Because the encoding holds only
-// the current state's answers, a violation can be explained only while
-// the checker still sits at the state that produced it.
+// anchor timestamp the encoding keeps as its witness. Because the
+// encoding holds only the current state's answers, a violation can be
+// explained only while the checker still sits at the state that
+// produced it.
 
 // SkipAction names the strategy the delta-driven check path chose for
 // one constraint in one commit.
@@ -66,8 +67,11 @@ type Evidence struct {
 	// Holds is the subformula's truth under the binding at the
 	// violating state.
 	Holds bool
-	// Times are the in-window anchor timestamps witnessing a once/since
-	// node (empty for prev nodes and unsatisfied nodes).
+	// Times holds the in-window anchor timestamp witnessing a once/since
+	// node (empty for prev nodes and unsatisfied nodes). The bounded
+	// history encoding keeps one witness per binding: the newest
+	// in-window anchor for a bounded window, the earliest anchor for an
+	// unbounded one.
 	Times []uint64
 }
 
@@ -187,7 +191,9 @@ func (c *Checker) explainWalk(f mtl.Formula, env fol.Env, negated bool, ex *Expl
 	}
 }
 
-// witnesses returns the in-window anchor timestamps of a binding.
+// witnesses returns the in-window anchor timestamps the encoding keeps
+// for a binding: at most one, the newest in-window anchor of a bounded
+// window or the earliest anchor of an unbounded one.
 func (s *sinceNode) witnesses(env fol.Env, now uint64) []uint64 {
 	row, err := s.rowOf(env)
 	if err != nil {
@@ -198,7 +204,7 @@ func (s *sinceNode) witnesses(env fol.Env, now uint64) []uint64 {
 		return nil
 	}
 	var out []uint64
-	for _, tm := range e.times {
+	for _, tm := range s.timesOf(e) {
 		if s.iv.Contains(now - tm) {
 			out = append(out, tm)
 		}

@@ -164,9 +164,10 @@ func encodeNode(node auxNode) (snapNode, error) {
 		sort.Strings(keys)
 		for _, k := range keys {
 			e := n.entries[k]
+			// An open run's timestamp is resolved to the current commit.
 			sn.Entries = append(sn.Entries, snapEntry{
 				Row:   e.row.Clone(),
-				Times: append([]uint64(nil), e.times...),
+				Times: append([]uint64(nil), n.timesOf(e)...),
 			})
 		}
 		return sn, nil
@@ -264,7 +265,7 @@ func loadSnapshot(s *schema.Schema, r io.Reader, opts ...Option) (*Checker, erro
 		}
 	}
 	for i, sn := range snap.Nodes {
-		if err := decodeNode(c.nodes[i], sn); err != nil {
+		if err := decodeNode(c.nodes[i], sn, snap.Now); err != nil {
 			return nil, err
 		}
 	}
@@ -274,7 +275,11 @@ func loadSnapshot(s *schema.Schema, r io.Reader, opts ...Option) (*Checker, erro
 	return c, nil
 }
 
-func decodeNode(node auxNode, sn snapNode) error {
+// decodeNode restores one node's state. Since/once entries are pruned
+// at now, so a snapshot written under an older, looser pruning rule
+// restores to the current bounded encoding; entries left empty are
+// dropped.
+func decodeNode(node auxNode, sn snapNode, now uint64) error {
 	switch n := node.(type) {
 	case *prevNode:
 		if sn.Kind != "prev" {
@@ -303,11 +308,14 @@ func decodeNode(node auxNode, sn snapNode) error {
 			if _, dup := n.entries[key]; dup {
 				return fmt.Errorf("core: snapshot repeats entry %s of node %s", e.Row, n.node.String())
 			}
-			n.addEntry(&sinceEntry{
+			se := &sinceEntry{
 				key:   key,
 				row:   e.Row.Clone(),
 				times: append([]uint64(nil), e.Times...),
-			})
+			}
+			if n.prune(se, now); len(se.times) > 0 {
+				n.addEntry(se)
+			}
 		}
 		return nil
 	default:

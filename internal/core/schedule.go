@@ -91,8 +91,8 @@ func (c *Checker) Schedule() [][]string {
 
 // NodeCost is the worst-case bounded-history estimate for one
 // auxiliary node of the leveled schedule: Span is the number of
-// timestamps a single binding may retain inside the metric window
-// (1 for prev and for unbounded-above windows, Hi−Lo+1 otherwise),
+// timestamps a single binding may retain (see windowSpan: 1 for prev,
+// for unbounded-above windows and for [0,b] windows, Lo+1 otherwise),
 // Arity the number of free variables spanning the binding space, and
 // Weight their saturating product — the per-binding storage bound the
 // linter's cost pass sums per constraint.
@@ -134,9 +134,9 @@ func (c *Checker) ScheduleCosts() []NodeCost {
 // windowSpan bounds how many timestamps one binding of the node can
 // retain: prev stores a single state, an unbounded-above window keeps
 // only its earliest timestamp (satisfaction is monotone in age), and a
-// bounded window prunes ages beyond Hi, leaving at most Hi+1 live
-// timestamps (ages 0..Hi — pruning ignores Lo, young anchors may still
-// age into the window).
+// bounded window keeps the anchors younger than Lo, which may still age
+// into it, plus the newest one of age ≥ Lo — at most Lo+1 timestamps
+// (ages 0..Lo−1 and one more), so one for a [0,b] window.
 func windowSpan(f mtl.Formula) uint64 {
 	var iv mtl.Interval
 	switch n := f.(type) {
@@ -152,7 +152,7 @@ func windowSpan(f mtl.Formula) uint64 {
 	if iv.Unbounded {
 		return 1
 	}
-	return satAdd(iv.Hi, 1)
+	return satAdd(iv.Lo, 1)
 }
 
 func satAdd(a, b uint64) uint64 {

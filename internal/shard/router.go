@@ -323,7 +323,10 @@ func (r *Router) Step(t uint64, tx *storage.Transaction) ([]check.Violation, err
 		tr.Trace(obs.TraceEvent{Op: obs.OpStep, Time: t, Duration: d, Err: err})
 	}
 	if sink != nil {
-		span.Dur = d
+		// The span closes after the post-commit bookkeeping above, so
+		// the violation counts and the aux-gauge walk are attributed
+		// to the commit rather than left between spans.
+		span.Dur = time.Since(start)
 		span.Err = err
 		sink.ObserveSpan(span)
 	}

@@ -338,6 +338,32 @@ func (l *Log) frameAt(off, size int64) (payload []byte, next int64, err error) {
 // back by truncating the partial frame; if even that fails the log
 // latches broken and refuses further appends.
 func (l *Log) Append(payload []byte) error {
+	sp := l.startAppendSpan()
+	return l.endAppendSpan(sp, l.appendRecord(payload, sp))
+}
+
+// startAppendSpan opens the wal.append span when a span sink is
+// attached (nil otherwise); callers open it before any per-record work,
+// so framing and, in AppendTx, encoding count as append time.
+func (l *Log) startAppendSpan() *obs.Span {
+	if l.spans == nil {
+		return nil
+	}
+	return &obs.Span{Name: obs.SpanWALAppend, Start: time.Now()}
+}
+
+// endAppendSpan closes and reports sp (if any) and returns err.
+func (l *Log) endAppendSpan(sp *obs.Span, err error) error {
+	if sp != nil {
+		sp.End()
+		sp.Err = err
+		l.spans.ObserveSpan(sp)
+	}
+	return err
+}
+
+// appendRecord frames payload and writes it under sp.
+func (l *Log) appendRecord(payload []byte, sp *obs.Span) error {
 	if len(payload) == 0 {
 		return errors.New("wal: empty record")
 	}
@@ -348,18 +374,10 @@ func (l *Log) Append(payload []byte) error {
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
 	copy(frame[frameHeaderSize:], payload)
-
-	var sp *obs.Span
-	if l.spans != nil {
-		sp = &obs.Span{Name: obs.SpanWALAppend, Start: time.Now(), Ops: len(frame)}
-	}
-	err := l.appendFrame(frame, sp)
 	if sp != nil {
-		sp.End()
-		sp.Err = err
-		l.spans.ObserveSpan(sp)
+		sp.Ops = len(frame)
 	}
-	return err
+	return l.appendFrame(frame, sp)
 }
 
 // latchLocked marks the log permanently broken (caller holds mu): the
@@ -441,7 +459,8 @@ func (l *Log) appendFrameLocked(frame []byte, sp *obs.Span) error {
 
 // AppendTx journals one committed transaction.
 func (l *Log) AppendTx(t uint64, tx *storage.Transaction) error {
-	return l.Append(EncodeTx(t, tx))
+	sp := l.startAppendSpan()
+	return l.endAppendSpan(sp, l.appendRecord(EncodeTx(t, tx), sp))
 }
 
 // Sync forces buffered appends to stable storage.

@@ -417,7 +417,9 @@ func (c *Checker) Stats() Stats {
 
 // Explanation is the evidence trail of a violation: for every temporal
 // subformula the violating binding reaches, whether it held and which
-// in-window anchor timestamps witnessed it.
+// in-window anchor timestamp witnessed it — the newest one for a bounded
+// window, the earliest for an unbounded one, since the bounded history
+// encoding keeps no other.
 type Explanation = core.Explanation
 
 // Explain answers "why was this violation flagged?" from the auxiliary

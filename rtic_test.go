@@ -196,7 +196,9 @@ func TestExplainThroughPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ex.Evidence) != 1 || ex.Evidence[0].Times[0] != 10 {
+	// fire(7) still holds at 100, so the newest in-window anchor — the
+	// one witness the encoding keeps — is 100, not 10.
+	if len(ex.Evidence) != 1 || len(ex.Evidence[0].Times) != 1 || ex.Evidence[0].Times[0] != 100 {
 		t.Fatalf("explanation = %+v", ex)
 	}
 	// Other engines refuse.
